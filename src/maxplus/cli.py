@@ -27,11 +27,11 @@ from .jsonio import (
     load_json_file,
     map_from_dict,
     measure_from_dict,
-    measure_to_dict,
+    measure_to_json,
     referenced_points,
     space_from_dict,
 )
-from .measures import combine
+from .measures import IdempotentMeasure, combine
 from .semiring import as_value
 from .suites import DEFAULT_TRIALS, SUITES
 from .weaktop import WeakNeighborhood, approximate_on_dense
@@ -40,7 +40,10 @@ DEFAULT_TOL = 1e-9
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    if isinstance(obj, IdempotentMeasure):
+        print(measure_to_json(obj))
+    else:
+        print(json.dumps(obj, sort_keys=True, indent=2))
 
 
 def _info(message: str) -> None:
@@ -94,17 +97,31 @@ def _space_of(registry: dict[str, GroundSpace], obj, kind: str) -> GroundSpace:
     return registry[sid]
 
 
+def _parse(registry: dict[str, GroundSpace], kind: str, obj):
+    if kind == "map":
+        from_id, to_id = obj.get("from"), obj.get("to")
+        if not isinstance(from_id, str) or not isinstance(to_id, str):
+            raise ValidationError("malformed map: missing 'from'/'to'")
+        return map_from_dict(obj, registry[from_id], registry[to_id])
+    parse = measure_from_dict if kind == "measure" else function_from_dict
+    return parse(obj, _space_of(registry, obj, kind))
+
+
+def _load(args, **kinds: str) -> list:
+    """Read each named input file and parse it as its kind: measure, function or map.
+
+    Spaces without a ``--space`` file are inferred from the points all the files reference.
+    """
+    objs = [(kind, load_json_file(getattr(args, name))) for name, kind in kinds.items()]
+    registry = _load_registry(args.space)
+    _ensure_spaces(registry, _merge_refs(*(referenced_points(kind, obj) for kind, obj in objs)))
+    return [_parse(registry, kind, obj) for kind, obj in objs]
+
+
 # --- handlers ---------------------------------------------------------------
 
 def cmd_integrate(args) -> int:
-    mobj = load_json_file(args.measure)
-    fobj = load_json_file(args.function)
-    registry = _load_registry(args.space)
-    _ensure_spaces(registry, _merge_refs(
-        referenced_points("measure", mobj), referenced_points("function", fobj)
-    ))
-    mu = measure_from_dict(mobj, _space_of(registry, mobj, "measure"))
-    phi = function_from_dict(fobj, _space_of(registry, fobj, "function"))
+    mu, phi = _load(args, measure="measure", function="function")
     value = mu.integrate(phi)
     _emit({"integral": value.to_json()})
     _info(f"integral of the table against the measure: {value}")
@@ -112,35 +129,17 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_pushforward(args) -> int:
-    mapobj = load_json_file(args.map)
-    mobj = load_json_file(args.measure)
-    registry = _load_registry(args.space)
-    _ensure_spaces(registry, _merge_refs(
-        referenced_points("map", mapobj), referenced_points("measure", mobj)
-    ))
-    from_id = mapobj.get("from")
-    to_id = mapobj.get("to")
-    if not isinstance(from_id, str) or not isinstance(to_id, str):
-        raise ValidationError("malformed map: missing 'from'/'to'")
-    f = map_from_dict(mapobj, registry[from_id], registry[to_id])
-    mu = measure_from_dict(mobj, _space_of(registry, mobj, "measure"))
+    f, mu = _load(args, map="map", measure="measure")
     result = pushforward(f, mu)
-    _emit(measure_to_dict(result))
+    _emit(result)
     _info(f"pushforward onto {result.space_id!r}: {len(result)} atoms")
     return 0
 
 
 def cmd_combine(args) -> int:
-    m1obj = load_json_file(args.m1)
-    m2obj = load_json_file(args.m2)
-    registry = _load_registry(args.space)
-    _ensure_spaces(registry, _merge_refs(
-        referenced_points("measure", m1obj), referenced_points("measure", m2obj)
-    ))
-    mu1 = measure_from_dict(m1obj, _space_of(registry, m1obj, "measure"))
-    mu2 = measure_from_dict(m2obj, _space_of(registry, m2obj, "measure"))
+    mu1, mu2 = _load(args, m1="measure", m2="measure")
     result = combine(as_value(args.alpha), mu1, as_value(args.beta), mu2)
-    _emit(measure_to_dict(result))
+    _emit(result)
     _info(f"combination on {result.space_id!r}: {len(result)} atoms")
     return 0
 
@@ -167,31 +166,16 @@ def cmd_approx(args) -> int:
         )
     tests = [function_from_dict(t, _space_of(registry, t, "function")) for t in raw_tests]
     nu = approximate_on_dense(mu, dense_pts, tests, args.eps)
-    _emit(measure_to_dict(nu))
+    _emit(nu)
     worst = max(WeakNeighborhood(mu, tuple(tests), args.eps).discrepancies(nu))
     _info(f"approximation landed inside epsilon {args.eps}: worst discrepancy {worst}")
     return 0
 
 
 def cmd_lift(args) -> int:
-    mapobj = load_json_file(args.map)
-    bobj = load_json_file(args.base)
-    tobj = load_json_file(args.target)
-    registry = _load_registry(args.space)
-    _ensure_spaces(registry, _merge_refs(
-        referenced_points("map", mapobj),
-        referenced_points("measure", bobj),
-        referenced_points("measure", tobj),
-    ))
-    from_id = mapobj.get("from")
-    to_id = mapobj.get("to")
-    if not isinstance(from_id, str) or not isinstance(to_id, str):
-        raise ValidationError("malformed map: missing 'from'/'to'")
-    f = map_from_dict(mapobj, registry[from_id], registry[to_id])
-    base = measure_from_dict(bobj, _space_of(registry, bobj, "measure"))
-    target = measure_from_dict(tobj, _space_of(registry, tobj, "measure"))
+    f, base, target = _load(args, map="map", base="measure", target="measure")
     lifted = lift_toward(f, base, target)
-    _emit(measure_to_dict(lifted))
+    _emit(lifted)
     try:
         moved = support_displacement(base, lifted)
         _info(f"lift onto {lifted.space_id!r}: {len(lifted)} atoms, displacement {moved}")
@@ -201,22 +185,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_preimage_check(args) -> int:
-    mapobj = load_json_file(args.map)
-    nobj = load_json_file(args.nu)
-    mobj = load_json_file(args.mu)
-    registry = _load_registry(args.space)
-    _ensure_spaces(registry, _merge_refs(
-        referenced_points("map", mapobj),
-        referenced_points("measure", nobj),
-        referenced_points("measure", mobj),
-    ))
-    from_id = mapobj.get("from")
-    to_id = mapobj.get("to")
-    if not isinstance(from_id, str) or not isinstance(to_id, str):
-        raise ValidationError("malformed map: missing 'from'/'to'")
-    f = map_from_dict(mapobj, registry[from_id], registry[to_id])
-    nu = measure_from_dict(nobj, _space_of(registry, nobj, "measure"))
-    mu = measure_from_dict(mobj, _space_of(registry, mobj, "measure"))
+    f, nu, mu = _load(args, map="map", nu="measure", mu="measure")
     ok = preimage_contains(f, nu, mu, args.tol)
     _emit({"contains": ok, "tolerance": args.tol})
     _info(

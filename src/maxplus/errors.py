@@ -16,6 +16,10 @@ class ValidationError(MaxPlusError):
     """Malformed input: bad schema, unknown ids, mismatched spaces."""
 
 
+class ScalarError(ValidationError, ValueError):
+    """A number that is not a max-plus scalar: NaN, +inf, or non-numeric."""
+
+
 class UnknownPointError(ValidationError):
     def __init__(self, point_id: str, space_id: str):
         super().__init__(f"unknown point {point_id!r} in space {space_id!r}")

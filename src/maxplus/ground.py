@@ -43,24 +43,21 @@ class GroundSpace:
         self._id = str(space_id)
         normalized: list[Point] = []
         for entry in points:
-            if isinstance(entry, Point):
-                p = entry
-            elif isinstance(entry, str):
+            if isinstance(entry, str):
                 p = Point(entry)
+            elif isinstance(entry, Point):
+                p = entry if entry.coords is None else Point(entry.id, _as_coords(entry.coords))
             else:
                 pid, coords = entry
                 p = Point(str(pid), _as_coords(coords))
-            if p.coords is not None:
-                p = Point(p.id, _as_coords(p.coords))
             normalized.append(p)
         if not normalized:
             raise ValidationError(f"space {space_id!r} must contain at least one point")
 
-        index: dict[str, int] = {}
-        for i, p in enumerate(normalized):
-            if p.id in index:
-                raise ValidationError(f"duplicate point id {p.id!r} in space {space_id!r}")
-            index[p.id] = i
+        index = {p.id: i for i, p in enumerate(normalized)}
+        if len(index) != len(normalized):
+            dup = next(p.id for i, p in enumerate(normalized) if index[p.id] != i)
+            raise ValidationError(f"duplicate point id {dup!r} in space {space_id!r}")
 
         with_coords = [p for p in normalized if p.coords is not None]
         if with_coords and len(with_coords) != len(normalized):
@@ -81,6 +78,7 @@ class GroundSpace:
                 seen[p.coords] = p.id
 
         self._points = tuple(normalized)
+        self._ids = tuple(index)
         self._index = index
         self._id_set = frozenset(index)
         self._coords = (
@@ -97,7 +95,7 @@ class GroundSpace:
 
     @property
     def point_ids(self) -> tuple[str, ...]:
-        return tuple(p.id for p in self._points)
+        return self._ids
 
     @property
     def has_coords(self) -> bool:
@@ -134,7 +132,10 @@ class GroundSpace:
 def _as_coords(coords: Sequence[float] | None) -> tuple[float, ...] | None:
     if coords is None:
         return None
-    out = tuple(float(c) for c in coords)
+    try:
+        out = tuple(float(c) for c in coords)
+    except (TypeError, ValueError):
+        raise ValidationError(f"coordinates must be numbers, got {coords!r}") from None
     if not out:
         raise ValidationError("coordinates must be non-empty when present")
     if not all(math.isfinite(c) for c in out):

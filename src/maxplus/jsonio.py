@@ -18,10 +18,11 @@ offending key in the message.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .errors import ValidationError
-from .ground import FunctionTable, GroundSpace, Point, PointMap
+from .ground import FunctionTable, GroundSpace, PointMap
 from .measures import IdempotentMeasure, make_measure
 from .semiring import MaxPlusValue
 from .weaktop import WeakNeighborhood
@@ -45,6 +46,18 @@ def _require(obj: Any, key: str, kind: str) -> Any:
     return obj[key]
 
 
+def _column(items: Any, key: str, kind: str) -> list:
+    """``[item[key] for item in items]``; a malformed list or item raises ValidationError."""
+    if not isinstance(items, list):
+        raise ValidationError(f"malformed {kind}s: expected a list, got {type(items).__name__}")
+    try:
+        return [item[key] for item in items]
+    except (KeyError, TypeError):
+        for item in items:
+            _require(item, key, kind)
+        raise
+
+
 # --- spaces ---------------------------------------------------------------
 
 def space_from_dict(obj: Any) -> GroundSpace:
@@ -58,7 +71,7 @@ def space_from_dict(obj: Any) -> GroundSpace:
         coords = entry.get("coords")
         if coords is not None and not isinstance(coords, list):
             raise ValidationError(f"malformed space point {pid!r}: 'coords' must be a list")
-        points.append(Point(str(pid), tuple(float(c) for c in coords) if coords is not None else None))
+        points.append((pid, coords))
     return GroundSpace(str(space_id), points)
 
 
@@ -123,13 +136,12 @@ def measure_from_dict(obj: Any, space: GroundSpace, normalize: bool = False) -> 
             f"measure addresses space {space_id!r} but was resolved against {space.id!r}"
         )
     atoms = _require(obj, "atoms", "measure")
-    if not isinstance(atoms, list):
-        raise ValidationError("malformed measure: 'atoms' must be a list")
-    pairs = []
-    for entry in atoms:
-        point = _require(entry, "point", "measure atom")
-        weight = _require(entry, "weight", "measure atom")
-        pairs.append((str(point), MaxPlusValue.from_json(weight)))
+    points = _column(atoms, "point", "measure atom")
+    weights = _column(atoms, "weight", "measure atom")
+    pairs = (
+        (str(p), w if type(w) is float else MaxPlusValue.from_json(w))
+        for p, w in zip(points, weights)
+    )
     return make_measure(space, pairs, normalize=normalize)
 
 
@@ -138,6 +150,21 @@ def measure_to_dict(mu: IdempotentMeasure) -> dict:
         "space": mu.space_id,
         "atoms": [{"point": pid, "weight": w} for pid, w in mu.atoms()],
     }
+
+
+def measure_to_json(mu: IdempotentMeasure) -> str:
+    """``json.dumps(measure_to_dict(mu), sort_keys=True, indent=2)``, built in one join.
+
+    The stdlib only uses its C encoder without ``indent``; this builds the
+    same text directly. ``float.__repr__`` is what ``json`` prints for any
+    float, a numpy ``float64`` included.
+    """
+    enc = encode_basestring_ascii
+    rep = float.__repr__
+    atoms = ",\n".join(
+        f'    {{\n      "point": {enc(p)},\n      "weight": {rep(w)}\n    }}' for p, w in mu.atoms()
+    )
+    return f'{{\n  "atoms": [\n{atoms}\n  ],\n  "space": {enc(mu.space_id)}\n}}'
 
 
 # --- dense subsets and neighborhoods ---------------------------------------
@@ -188,7 +215,7 @@ def referenced_points(kind: str, obj: Any) -> dict[str, list[str]]:
     elif kind == "measure":
         atoms = _require(obj, "atoms", "measure")
         refs[str(_require(obj, "space", "measure"))] = [
-            str(_require(a, "point", "measure atom")) for a in atoms
+            str(p) for p in _column(atoms, "point", "measure atom")
         ]
     elif kind == "map":
         assign = _require(obj, "assign", "map")

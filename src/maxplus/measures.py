@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .ground import FunctionTable, GroundSpace, constant_table, pointwise_max, shift
-from .semiring import NEG_INF, UNIT, MaxPlusValue, Scalar, as_value
+from .semiring import NEG_INF, MaxPlusValue, Scalar, as_value
 
 
 class IdempotentMeasure:
@@ -36,22 +36,8 @@ class IdempotentMeasure:
     __slots__ = ("_space", "_weights")
 
     def __init__(self, space: GroundSpace, weights: Mapping[str, Scalar]):
-        finite: dict[str, float] = {}
-        for pid, raw in weights.items():
-            if pid not in space:
-                space.index(pid)  # raises UnknownPointError with context
-            w = as_value(raw)
-            if not w.is_bottom:
-                finite[pid] = w.value
-        if not finite:
-            raise NoMassError(f"no mass: measure on space {space.id!r} has empty support")
-        peak = max(finite.values())
-        if peak != 0.0:
-            raise NormAxiomError(
-                f"norm axiom violated: peak weight is {peak!r}, expected 0.0"
-            )
         self._space = space
-        self._weights = {pid: finite[pid] for pid in space.point_ids if pid in finite}
+        self._weights = _build(space, weights.items(), normalize=False)
 
     @classmethod
     def _trusted(cls, space: GroundSpace, weights: dict[str, float]) -> IdempotentMeasure:
@@ -69,18 +55,7 @@ class IdempotentMeasure:
         of dividing by total mass. The peak atom lands at exactly 0.0 since
         ``w - w == 0.0`` for every finite float.
         """
-        finite: dict[str, float] = {}
-        for pid, raw in weights.items():
-            if pid not in space:
-                space.index(pid)
-            w = as_value(raw)
-            if not w.is_bottom:
-                finite[pid] = w.value
-        if not finite:
-            raise NoMassError(f"no mass: measure on space {space.id!r} has empty support")
-        peak = max(finite.values())
-        shifted = {pid: finite[pid] - peak for pid in space.point_ids if pid in finite}
-        return cls._trusted(space, shifted)
+        return cls._trusted(space, _build(space, weights.items(), normalize=True))
 
     @classmethod
     def dirac(cls, space: GroundSpace, point_id: str) -> IdempotentMeasure:
@@ -142,6 +117,43 @@ class IdempotentMeasure:
         return f"IdempotentMeasure({self.space_id!r}, {{{inner}}})"
 
 
+def _build(
+    space: GroundSpace, pairs: Iterable[tuple[str, Scalar]], normalize: bool
+) -> dict[str, float]:
+    """The one construction path: (point, weight) pairs to measure weights.
+
+    Every point must belong to the space. Duplicate points merge by max
+    (idempotent addition) and bottom weights drop, including a sum or a
+    normalizing shift that rounds to ``-inf``. With ``normalize`` the
+    weights are shifted so the peak is 0; without it, a peak other than 0
+    is rejected. Returns the weights in space order. Plain floats are
+    checked inline; any other weight goes through :func:`as_value`.
+    """
+    index = space._index
+    inf = math.inf
+    merged: dict[str, float] = {}
+    for pid, w in pairs:
+        if pid not in index:
+            space.index(pid)  # raises UnknownPointError with context
+        if type(w) is not float or not w < inf:  # NaN and +inf raise in as_value
+            w = as_value(w).as_float()
+        if w == -inf:
+            continue
+        prev = merged.get(pid)
+        if prev is None or w > prev:
+            merged[pid] = w
+    if not merged:
+        raise NoMassError(f"no mass: measure on space {space.id!r} has empty support")
+    peak = max(merged.values())
+    order = sorted(merged, key=index.__getitem__)
+    if normalize:
+        shifted = ((pid, merged[pid] - peak) for pid in order)
+        return {pid: w for pid, w in shifted if w != -inf}
+    if peak != 0.0:
+        raise NormAxiomError(f"norm axiom violated: peak weight is {peak!r}, expected 0.0")
+    return {pid: merged[pid] for pid in order}
+
+
 def combine(
     alpha: Scalar,
     mu: IdempotentMeasure,
@@ -153,44 +165,25 @@ def combine(
     The coefficients must satisfy ``max(alpha, beta) == 0``; a bottom
     coefficient wipes out its side entirely, so the result collapses to
     the other measure. With both coefficients finite the combined support
-    is the union of the two supports and the result is normalized
-    bit-exactly (its new peak is ``max(alpha, beta) == 0``).
+    is the union of the two supports, less any atom whose shifted weight
+    rounds to ``-inf``, and the result is normalized bit-exactly (its new
+    peak is ``max(alpha, beta) == 0``).
     """
     if mu.space_id != nu.space_id:
         raise SpaceMismatchError(
             f"cannot combine measures on {mu.space_id!r} and {nu.space_id!r}"
         )
-    a = as_value(alpha)
-    b = as_value(beta)
-    if a.oplus(b) != UNIT:
-        raise CoefficientError(
-            f"coefficient constraint violated: max({a}, {b}) != 0"
-        )
-    if a.is_bottom:
+    av = as_value(alpha).as_float()
+    bv = as_value(beta).as_float()
+    if max(av, bv) != 0.0:
+        raise CoefficientError(f"coefficient constraint violated: max({av!r}, {bv!r}) != 0")
+    if av == -math.inf:
         return nu
-    if b.is_bottom:
+    if bv == -math.inf:
         return mu
-    space = mu.space
-    mw = mu._weights
-    nw = nu._weights
-    av = a.value
-    bv = b.value
-    out: dict[str, float] = {}
-    for pid in space.point_ids:
-        lhs = mw.get(pid)
-        rhs = nw.get(pid)
-        if lhs is None and rhs is None:
-            continue
-        if lhs is None:
-            out[pid] = bv + rhs
-        elif rhs is None:
-            out[pid] = av + lhs
-        else:
-            out[pid] = max(av + lhs, bv + rhs)
-    peak = max(out.values())
-    if peak != 0.0:  # unreachable: max(alpha, beta) == 0 and each side peaks at 0
-        raise NormAxiomError(f"norm axiom violated: combination peak is {peak!r}")
-    return IdempotentMeasure._trusted(space, out)
+    shifted = [(pid, av + w) for pid, w in mu._weights.items()]
+    shifted += [(pid, bv + w) for pid, w in nu._weights.items()]
+    return IdempotentMeasure._trusted(mu.space, _build(mu.space, shifted, normalize=False))
 
 
 def make_measure(
@@ -204,16 +197,7 @@ def make_measure(
     drop. With ``normalize`` the weights are shifted so the peak is 0;
     without it, a peak other than 0 is rejected.
     """
-    merged: dict[str, MaxPlusValue] = {}
-    for pid, raw in raw_atoms:
-        w = as_value(raw)
-        prev = merged.get(pid)
-        merged[pid] = w if prev is None else prev.oplus(w)
-    if not merged:
-        raise NoMassError(f"no mass: measure on space {space.id!r} has no atoms")
-    if normalize:
-        return IdempotentMeasure.from_weights(space, merged)
-    return IdempotentMeasure(space, merged)
+    return IdempotentMeasure._trusted(space, _build(space, raw_atoms, normalize))
 
 
 def measure_equal(mu: IdempotentMeasure, nu: IdempotentMeasure, tol: float = 0.0) -> bool:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Union
 
+from .errors import ScalarError
+
 Scalar = Union["MaxPlusValue", float, int]
 
 
@@ -24,7 +26,7 @@ class MaxPlusValue:
     """A max-plus scalar: a finite float, or ``value is None`` for bottom.
 
     A raw ``float("-inf")`` passed to the constructor is folded into the
-    bottom element; NaN and +inf are rejected.
+    bottom element; NaN and +inf are rejected with :class:`ScalarError`.
     """
 
     value: float | None
@@ -37,7 +39,7 @@ class MaxPlusValue:
             object.__setattr__(self, "value", None)
             return
         if not math.isfinite(v):
-            raise ValueError(f"max-plus scalar must be finite or -inf, got {self.value!r}")
+            raise ScalarError(f"max-plus scalar must be finite or -inf, got {self.value!r}")
         object.__setattr__(self, "value", v)
 
     @property
@@ -84,10 +86,10 @@ class MaxPlusValue:
         if isinstance(obj, str):
             if obj.strip().lower() in ("-inf", "-infinity"):
                 return NEG_INF
-            raise ValueError(f"not a max-plus scalar: {obj!r}")
+            raise ScalarError(f"not a max-plus scalar: {obj!r}")
         if isinstance(obj, (int, float)):
             return cls(float(obj))
-        raise ValueError(f"not a max-plus scalar: {obj!r}")
+        raise ScalarError(f"not a max-plus scalar: {obj!r}")
 
     def __repr__(self) -> str:
         return "MaxPlusValue(-inf)" if self.value is None else f"MaxPlusValue({self.value!r})"

@@ -129,6 +129,35 @@ def test_combine_accepts_bottom_coefficient(files):
     assert r.returncode == 0
 
 
+def test_combine_bottom_coefficient_needs_equals_form(files, tmp_path):
+    m2 = tmp_path / "m2.json"
+    m2.write_text(json.dumps({"space": "X", "atoms": [{"point": "b", "weight": 0.0}]}))
+    r = run_cli("combine", "--alpha=-inf", "--beta=0", "--m1", files["measure"], "--m2", str(m2))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {"space": "X", "atoms": [{"point": "b", "weight": 0.0}]}
+    # argparse takes a separate "-inf" for an option, so the value goes missing
+    r = run_cli("combine", "--alpha", "-inf", "--beta=0", "--m1", files["measure"], "--m2", str(m2))
+    assert r.returncode == 2
+    assert "expected one argument" in r.stderr
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_combine_drops_weight_shifted_to_bottom(tmp_path):
+    m1 = tmp_path / "m1.json"
+    m2 = tmp_path / "m2.json"
+    m1.write_text(json.dumps({"space": "X", "atoms": [
+        {"point": "a", "weight": -1e308}, {"point": "b", "weight": 0.0},
+    ]}))
+    m2.write_text(json.dumps({"space": "X", "atoms": [{"point": "b", "weight": 0.0}]}))
+    r = run_cli("combine", "--alpha=-1e308", "--beta=0", "--m1", str(m1), "--m2", str(m2))
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout, parse_constant=_reject_constant)
+    assert out == {"space": "X", "atoms": [{"point": "b", "weight": 0.0}]}
+
+
 def test_approx_success(files):
     r = run_cli(
         "approx", "--space", files["space"], "--measure", files["mu_offgrid"],
@@ -198,6 +227,34 @@ def test_exit_2_on_malformed_measure(files):
     r = run_cli("integrate", "--measure", files["broken"], "--function", files["function"])
     assert r.returncode == 2
     assert "error:" in r.stderr
+
+
+def test_exit_2_on_nan_weight(tmp_path, files):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"space": "X", "atoms": [{"point": "a", "weight": NaN}]}')
+    r = run_cli("integrate", "--measure", str(bad), "--function", files["function"])
+    assert r.returncode == 2
+    assert "error:" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("option", ["--alpha", "--beta"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_exit_2_on_non_finite_coefficient(files, option, value):
+    args = {"--alpha": "0", "--beta": "0", option: value}
+    r = run_cli(
+        "combine", f"--alpha={args['--alpha']}", f"--beta={args['--beta']}",
+        "--m1", files["measure"], "--m2", files["measure"],
+    )
+    assert r.returncode == 2
+    assert "error:" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_exit_2_on_non_numeric_coords(tmp_path, files):
+    bad = tmp_path / "space.json"
+    bad.write_text(json.dumps({"id": "X", "points": [{"id": "a", "coords": ["zz"]}, {"id": "b", "coords": [1.0]}]}))
+    r = run_cli("integrate", "--space", str(bad), "--measure", files["measure"], "--function", files["function"])
+    assert r.returncode == 2
+    assert "error:" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_exit_2_on_missing_file(files):

@@ -2,7 +2,9 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from maxplus import GroundSpace, IdempotentMeasure, NEG_INF, Point, ValidationError
 from maxplus.jsonio import (
@@ -14,6 +16,7 @@ from maxplus.jsonio import (
     map_to_dict,
     measure_from_dict,
     measure_to_dict,
+    measure_to_json,
     neighborhood_from_dict,
     neighborhood_to_dict,
     referenced_points,
@@ -159,6 +162,37 @@ def test_measure_validation():
         measure_from_dict({"space": "X", "atoms": [{"point": "zz", "weight": 0.0}]}, space)
     with pytest.raises(ValidationError):
         measure_from_dict({"space": "X"}, space)
+    with pytest.raises(ValidationError):
+        measure_from_dict({"space": "X", "atoms": [{"point": "a"}]}, space)
+    for atoms in (5, "ab", [5], [{"weight": 0.0}]):
+        with pytest.raises(ValidationError):
+            measure_from_dict({"space": "X", "atoms": atoms}, space)
+        with pytest.raises(ValidationError):
+            referenced_points("measure", {"space": "X", "atoms": atoms})
+
+
+tricky_ids = st.text(
+    st.one_of(st.sampled_from(['"', "\\", "/", "\n", "\x00", "é", "\u2603", "\U0001f600"]), st.characters()),
+    min_size=1,
+    max_size=6,
+)
+extreme_weights = st.one_of(
+    st.sampled_from([1e308, -1e308, 5e-324, -0.0, 0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(
+    tricky_ids,
+    st.dictionaries(tricky_ids, extreme_weights, min_size=1, max_size=8),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_measure_to_json_matches_json_dumps(space_id, weights, numpy_weight):
+    space = GroundSpace(space_id, list(weights))
+    weights[next(iter(weights))] = np.float64(numpy_weight)
+    mu = IdempotentMeasure._trusted(space, weights)
+    expected = json.dumps(measure_to_dict(mu), sort_keys=True, indent=2)
+    assert measure_to_json(mu) == expected
 
 
 # ---------------------------------------------------------------------------

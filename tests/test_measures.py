@@ -1,9 +1,11 @@
 """Idempotent measures: normalization, integration, combination, axioms."""
 
+import json
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from maxplus import (
     NEG_INF,
@@ -193,13 +195,62 @@ def test_combine_support_union_for_finite_coeffs(mu, nu, alpha):
 
 
 @given(measures_on(SPACE), measures_on(SPACE), tables_on(SPACE), st.floats(-20, 0))
+@example(
+    IdempotentMeasure(SPACE, {"a": -1023.0, "b": 0.0}),
+    IdempotentMeasure(SPACE, {"b": 0.0}),
+    FunctionTable(SPACE, {"a": 1025.0, "b": 0.0, "c": 0.0}),
+    -1.5358233473212977,
+)
 def test_combine_is_linear_under_integration(mu, nu, phi, alpha):
-    # I(alpha mu (+) 0 nu)(phi) = max(alpha + I(mu)(phi), I(nu)(phi)),
-    # exactly: both sides are the same max over the same sums.
+    # I(alpha mu (+) 0 nu)(phi) = max(alpha + I(mu)(phi), I(nu)(phi)).
+    # Bit-exact only in the evaluation order of the left side, (alpha + w) + phi:
+    # rounding is monotone, so it commutes with max.
     mix = combine(alpha, mu, 0.0, nu)
-    lhs = mix.integrate(phi)
-    rhs = MaxPlusValue(alpha).odot(mu.integrate(phi)).oplus(nu.integrate(phi))
-    assert lhs == rhs
+    lhs = mix.integrate(phi).value
+    same_order = max(
+        max((alpha + w) + phi(x) for x, w in mu.atoms()),
+        max((0.0 + w) + phi(x) for x, w in nu.atoms()),
+    )
+    assert lhs == same_order
+    # Regrouped as alpha + (w + phi), each side rounds twice, each time by at
+    # most half an ulp of a value no larger than |alpha| + |w| + |phi|.
+    rhs = MaxPlusValue(alpha).odot(mu.integrate(phi)).oplus(nu.integrate(phi)).value
+    scale = abs(alpha) + max(abs(w) for _, w in [*mu.atoms(), *nu.atoms()])
+    scale += max(abs(v) for v in phi.values.values())
+    assert abs(lhs - rhs) <= 2 * sys.float_info.epsilon * scale
+
+
+def test_from_weights_drops_weight_shifted_to_bottom():
+    # -1.7e308 - 1.7e308 rounds to -inf: that atom is bottom, not stored
+    mu = IdempotentMeasure.from_weights(SPACE, {"a": 1.7e308, "b": -1.7e308})
+    assert dict(mu.atoms()) == {"a": 0.0}
+
+
+def test_combine_drops_weight_shifted_to_bottom():
+    mu = IdempotentMeasure(SPACE, {"a": -1e308, "b": 0.0})
+    nu = IdempotentMeasure(SPACE, {"b": 0.0})
+    assert dict(combine(-1e308, mu, 0.0, nu).atoms()) == {"b": 0.0}
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+full_range = st.floats(-sys.float_info.max, sys.float_info.max)
+full_weights = st.dictionaries(st.sampled_from(["a", "b", "c"]), full_range, min_size=1)
+
+
+@given(full_weights, full_weights, st.floats(-sys.float_info.max, 0.0))
+def test_invariants_hold_over_the_full_float_range(raw_mu, raw_nu, alpha):
+    from maxplus.jsonio import measure_to_json
+
+    mu = IdempotentMeasure.from_weights(SPACE, raw_mu)
+    nu = make_measure(SPACE, raw_nu.items(), normalize=True)
+    for m in (mu, nu, combine(alpha, mu, 0.0, nu), combine(0.0, mu, alpha, nu)):
+        weights = [w for _, w in m.atoms()]
+        assert max(weights) == 0.0
+        assert all(math.isfinite(w) for w in weights)
+        json.loads(measure_to_json(m), parse_constant=_reject_constant)
 
 
 # ---------------------------------------------------------------------------
