@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -51,15 +52,20 @@ def _info(message: str) -> None:
 
 
 def _resolve_tol(value: float | None) -> float:
-    if value is not None:
-        return value
-    raw = os.environ.get("MAXPLUS_TOL")
-    if raw is None:
-        return DEFAULT_TOL
+    """The ``--tol`` value, else ``MAXPLUS_TOL``, else the default; it must be finite."""
+    source, raw = "--tol", value
+    if value is None:
+        raw = os.environ.get("MAXPLUS_TOL")
+        if raw is None:
+            return DEFAULT_TOL
+        source = "MAXPLUS_TOL"
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
-        raise ValidationError(f"MAXPLUS_TOL is not a number: {raw!r}") from None
+        tol = math.nan
+    if not math.isfinite(tol):
+        raise ValidationError(f"{source} is not a finite number: {raw!r}")
+    return tol
 
 
 def _load_registry(space_files) -> dict[str, GroundSpace]:
@@ -97,7 +103,25 @@ def _space_of(registry: dict[str, GroundSpace], obj, kind: str) -> GroundSpace:
     return registry[sid]
 
 
+def _test_list(obj) -> list:
+    """The function objects of a tests file: a bare list or ``{"tests": [...]}``."""
+    raw = obj.get("tests") if isinstance(obj, dict) else obj
+    if not isinstance(raw, list) or not raw:
+        raise ValidationError("malformed tests file: expected a nonempty list of function objects")
+    return raw
+
+
+def _refs(kind: str, obj) -> dict[str, list[str]]:
+    if kind == "tests":
+        return _merge_refs(*(referenced_points("function", t) for t in _test_list(obj)))
+    return referenced_points(kind, obj)
+
+
 def _parse(registry: dict[str, GroundSpace], kind: str, obj):
+    if kind == "dense":
+        return dense_from_dict(obj)
+    if kind == "tests":
+        return [function_from_dict(t, _space_of(registry, t, "function")) for t in _test_list(obj)]
     if kind == "map":
         from_id, to_id = obj.get("from"), obj.get("to")
         if not isinstance(from_id, str) or not isinstance(to_id, str):
@@ -108,13 +132,13 @@ def _parse(registry: dict[str, GroundSpace], kind: str, obj):
 
 
 def _load(args, **kinds: str) -> list:
-    """Read each named input file and parse it as its kind: measure, function or map.
+    """Read each named input file and parse it as its kind: measure, function, map, dense or tests.
 
     Spaces without a ``--space`` file are inferred from the points all the files reference.
     """
     objs = [(kind, load_json_file(getattr(args, name))) for name, kind in kinds.items()]
     registry = _load_registry(args.space)
-    _ensure_spaces(registry, _merge_refs(*(referenced_points(kind, obj) for kind, obj in objs)))
+    _ensure_spaces(registry, _merge_refs(*(_refs(kind, obj) for kind, obj in objs)))
     return [_parse(registry, kind, obj) for kind, obj in objs]
 
 
@@ -145,26 +169,12 @@ def cmd_combine(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    mobj = load_json_file(args.measure)
-    dobj = load_json_file(args.dense)
-    tobj = load_json_file(args.tests)
-    raw_tests = tobj.get("tests") if isinstance(tobj, dict) else tobj
-    if not isinstance(raw_tests, list) or not raw_tests:
-        raise ValidationError("malformed tests file: expected a nonempty list of function objects")
-    registry = _load_registry(args.space)
-    _ensure_spaces(registry, _merge_refs(
-        referenced_points("measure", mobj),
-        referenced_points("dense", dobj),
-        *(referenced_points("function", t) for t in raw_tests),
-    ))
-    mu = measure_from_dict(mobj, _space_of(registry, mobj, "measure"))
-    dense_sid, dense_pts = dense_from_dict(dobj)
+    mu, (dense_sid, dense_pts), tests = _load(args, measure="measure", dense="dense", tests="tests")
     if dense_sid != mu.space_id:
         raise ValidationError(
             f"dense subset addresses space {dense_sid!r} but the measure"
             f" lives on {mu.space_id!r}"
         )
-    tests = [function_from_dict(t, _space_of(registry, t, "function")) for t in raw_tests]
     nu = approximate_on_dense(mu, dense_pts, tests, args.eps)
     _emit(nu)
     worst = max(WeakNeighborhood(mu, tuple(tests), args.eps).discrepancies(nu))

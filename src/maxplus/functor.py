@@ -15,27 +15,35 @@ representative lift (:func:`lift_toward`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import EmptyFiberError, LiftImpossibleError, SpaceMismatchError
-from .ground import FunctionTable, PointMap, fiber_points
-from .measures import IdempotentMeasure, measure_equal
+from .errors import LiftImpossibleError
+from .ground import (
+    FunctionTable,
+    PointMap,
+    _distance_to_set,
+    _require_same_space,
+    fiber_points,
+    require_nonempty_fiber,
+)
+from .measures import IdempotentMeasure, make_measure, measure_equal
 from .rng import rand_int, trial_rng
 
 
 def _require_source_measure(f: PointMap, mu: IdempotentMeasure) -> None:
-    if mu.space_id != f.from_space:
-        raise SpaceMismatchError(
-            f"measure on {mu.space_id!r} cannot ride a map from {f.from_space!r}"
-        )
+    _require_same_space(mu._space, f._source, "measure does not live on the map source")
 
 
 def _require_target_measure(f: PointMap, nu: IdempotentMeasure) -> None:
-    if nu.space_id != f.to_space:
-        raise SpaceMismatchError(
-            f"measure on {nu.space_id!r} does not live on the map target {f.to_space!r}"
-        )
+    _require_same_space(nu._space, f._target, "measure does not live on the map target")
+
+
+def _lift_fiber(f: PointMap, y: str) -> tuple[str, ...]:
+    """The fiber over a point that carries mass to be lifted; an empty fiber raises."""
+    pts = fiber_points(f, y)
+    if not pts:
+        raise LiftImpossibleError(f"lift impossible: point {y!r} carries mass but has no preimage")
+    return pts
 
 
 def pushforward(f: PointMap, mu: IdempotentMeasure) -> IdempotentMeasure:
@@ -45,15 +53,8 @@ def pushforward(f: PointMap, mu: IdempotentMeasure) -> IdempotentMeasure:
     is normalized without any arithmetic on the weights.
     """
     _require_source_measure(f, mu)
-    out: dict[str, float] = {}
-    for pid, w in mu.atoms():
-        y = f(pid)
-        cur = out.get(y)
-        if cur is None or w > cur:
-            out[y] = w
-    tindex = f.target.index
-    ordered = {y: out[y] for y in sorted(out, key=tindex)}
-    return IdempotentMeasure._trusted(f.target, ordered)
+    assign = f._assign
+    return make_measure(f._target, ((assign[x], w) for x, w in mu._weights.items()))
 
 
 def support_image_check(f: PointMap, mu: IdempotentMeasure) -> bool:
@@ -80,21 +81,7 @@ def canonical_lift(f: PointMap, nu: IdempotentMeasure) -> IdempotentMeasure:
     this one pointwise.
     """
     _require_target_measure(f, nu)
-    nw = dict(nu.atoms())
-    out: dict[str, float] = {}
-    covered: set[str] = set()
-    for x in f.source.point_ids:
-        y = f(x)
-        w = nw.get(y)
-        if w is not None:
-            out[x] = w
-            covered.add(y)
-    if len(covered) != len(nw):
-        missing = next(y for y in nu.support if y not in covered)
-        raise LiftImpossibleError(
-            f"lift impossible: point {missing!r} carries mass but has no preimage"
-        )
-    return IdempotentMeasure._trusted(f.source, out)
+    return make_measure(f._source, ((x, w) for y, w in nu.atoms() for x in _lift_fiber(f, y)))
 
 
 def sample_preimage(f: PointMap, nu: IdempotentMeasure, seed: int) -> IdempotentMeasure:
@@ -107,22 +94,16 @@ def sample_preimage(f: PointMap, nu: IdempotentMeasure, seed: int) -> Idempotent
     """
     _require_target_measure(f, nu)
     rng = trial_rng(seed, 0)
-    out: dict[str, float] = {}
+    pairs: list[tuple[str, float]] = []
     for y, w in nu.atoms():
-        pts = fiber_points(f, y)
-        if not pts:
-            raise LiftImpossibleError(
-                f"lift impossible: point {y!r} carries mass but has no preimage"
-            )
+        pts = _lift_fiber(f, y)
         designated = pts[rand_int(rng, 0, len(pts) - 1)]
         for x in pts:
             if x == designated:
-                out[x] = w
+                pairs.append((x, w))
             elif float(rng.uniform(0.0, 1.0)) >= 0.5:
-                out[x] = w - float(rng.uniform(0.0, 5.0))
-    sindex = f.source.index
-    ordered = {x: out[x] for x in sorted(out, key=sindex)}
-    return IdempotentMeasure._trusted(f.source, ordered)
+                pairs.append((x, w - float(rng.uniform(0.0, 5.0))))
+    return make_measure(f._source, pairs)
 
 
 def fiber_sup(f: PointMap, phi: FunctionTable) -> FunctionTable:
@@ -140,20 +121,12 @@ def fiber_inf(f: PointMap, phi: FunctionTable) -> FunctionTable:
 
 
 def _fiber_extreme(f: PointMap, phi: FunctionTable, pick) -> FunctionTable:
-    if phi.space_id != f.from_space:
-        raise SpaceMismatchError(
-            f"table on {phi.space_id!r} cannot descend along a map from {f.from_space!r}"
-        )
+    _require_same_space(phi._space, f._source, "table does not live on the map source")
     values = phi.values
-    out: dict[str, float] = {}
-    for y in f.target.point_ids:
-        pts = fiber_points(f, y)
-        if not pts:
-            raise EmptyFiberError(
-                f"undefined on non-image point {y!r} of space {f.to_space!r}"
-            )
-        out[y] = pick(values[x] for x in pts)
-    return FunctionTable._trusted(f.target, out)
+    return FunctionTable._trusted(
+        f._target,
+        {y: pick(values[x] for x in require_nonempty_fiber(f, y)) for y in f._target.point_ids},
+    )
 
 
 @dataclass(frozen=True)
@@ -219,31 +192,15 @@ def lift_toward(
     """
     _require_source_measure(f, base)
     _require_target_measure(f, target)
-    source = f.source
-    use_metric = source.has_coords
-    if use_metric:
-        anchor_coords = [source.coords(s) for s in base.support]
-    out: dict[str, float] = {}
-    for y, w in target.atoms():
-        pts = fiber_points(f, y)
-        if not pts:
-            raise LiftImpossibleError(
-                f"lift impossible: point {y!r} carries mass but has no preimage"
-            )
-        if use_metric:
-            best = None
-            best_d = math.inf
-            for x in pts:
-                cx = source.coords(x)
-                d = min(math.dist(cx, ca) for ca in anchor_coords)
-                if d < best_d:
-                    best, best_d = x, d
-            out[best] = w
-        else:
-            out[pts[0]] = w
-    sindex = source.index
-    ordered = {x: out[x] for x in sorted(out, key=sindex)}
-    return IdempotentMeasure._trusted(source, ordered)
+    source = f._source
+    if not source.has_coords:
+        return make_measure(source, ((_lift_fiber(f, y)[0], w) for y, w in target.atoms()))
+    anchors = [source.coords(s) for s in base.support]
+
+    def gap(x: str) -> float:
+        return _distance_to_set(anchors, source.coords(x))
+
+    return make_measure(source, ((min(_lift_fiber(f, y), key=gap), w) for y, w in target.atoms()))
 
 
 def support_displacement(base: IdempotentMeasure, other: IdempotentMeasure) -> float:
@@ -253,17 +210,7 @@ def support_displacement(base: IdempotentMeasure, other: IdempotentMeasure) -> f
     nearest atom of ``base``. Zero whenever the other support is a
     subset of the base support.
     """
-    if base.space_id != other.space_id:
-        raise SpaceMismatchError(
-            f"cannot measure displacement across spaces"
-            f" {base.space_id!r} and {other.space_id!r}"
-        )
-    space = base.space
-    anchor_coords = [space.coords(s) for s in base.support]
-    worst = 0.0
-    for x in other.support:
-        cx = space.coords(x)
-        d = min(math.dist(cx, ca) for ca in anchor_coords)
-        if d > worst:
-            worst = d
-    return worst
+    _require_same_space(base._space, other._space, "cannot measure displacement across spaces")
+    space = base._space
+    anchors = [space.coords(s) for s in base.support]
+    return max(_distance_to_set(anchors, space.coords(x)) for x in other.support)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -143,9 +144,32 @@ def _as_coords(coords: Sequence[float] | None) -> tuple[float, ...] | None:
     return out
 
 
+def _same_space(a: GroundSpace, b: GroundSpace) -> bool:
+    """One space, or two with the same id and the same points in the same order."""
+    return a is b or (a._id == b._id and a._ids == b._ids)
+
+
+def _require_same_space(a: GroundSpace, b: GroundSpace, what: str) -> None:
+    """Raise :class:`SpaceMismatchError` naming ``what`` unless ``a`` and ``b`` are one space."""
+    if a is not b and not _same_space(a, b):
+        shared = " (same id, different points)" if a._id == b._id else ""
+        raise SpaceMismatchError(f"{what}: space {a._id!r} is not space {b._id!r}{shared}")
+
+
 def distance(space: GroundSpace, x: str, y: str) -> float:
     """Euclidean distance between two points of a coordinate-carrying space."""
     return math.dist(space.coords(x), space.coords(y))
+
+
+def _distance_to_set(points: Iterable[Sequence[float]], c: Sequence[float]) -> float:
+    """Euclidean distance from coordinates ``c`` to the nearest of ``points`` (nonempty)."""
+    return min(map(math.dist, points, repeat(c)))
+
+
+def _nearest(points: Sequence[Sequence[float]], c: Sequence[float]) -> int:
+    """Index of the point nearest to ``c``; ties go to the earliest point."""
+    ds = list(map(math.dist, points, repeat(c)))
+    return ds.index(min(ds))
 
 
 class FunctionTable:
@@ -194,7 +218,7 @@ class FunctionTable:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FunctionTable):
             return NotImplemented
-        return self.space_id == other.space_id and self._values == other._values
+        return _same_space(self._space, other._space) and self._values == other._values
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -220,10 +244,7 @@ def shift(phi: FunctionTable, value: float) -> FunctionTable:
 
 def pointwise_max(phi: FunctionTable, psi: FunctionTable) -> FunctionTable:
     """The pointwise maximum of two tables on the same space."""
-    if phi.space_id != psi.space_id:
-        raise SpaceMismatchError(
-            f"pointwise max across spaces {phi.space_id!r} and {psi.space_id!r}"
-        )
+    _require_same_space(phi._space, psi._space, "pointwise max across spaces")
     pv, sv = phi._values, psi._values
     return FunctionTable._trusted(
         phi.space, {p: v if v >= sv[p] else sv[p] for p, v in pv.items()}
@@ -291,8 +312,8 @@ class PointMap:
         if not isinstance(other, PointMap):
             return NotImplemented
         return (
-            self.from_space == other.from_space
-            and self.to_space == other.to_space
+            _same_space(self._source, other._source)
+            and _same_space(self._target, other._target)
             and self._assign == other._assign
         )
 
@@ -320,10 +341,7 @@ def fiber_points(f: PointMap, y: str) -> tuple[str, ...]:
 
 def compose(g: PointMap, f: PointMap) -> PointMap:
     """The composite map ``g after f``."""
-    if f.to_space != g.from_space:
-        raise SpaceMismatchError(
-            f"cannot compose: {f!r} lands in {f.to_space!r}, {g!r} starts at {g.from_space!r}"
-        )
+    _require_same_space(f._target, g._source, "cannot compose: inner target is not outer source")
     return PointMap(f.source, g.target, {x: g._assign[y] for x, y in f._assign.items()})
 
 
@@ -333,10 +351,7 @@ def identity_map(space: GroundSpace) -> PointMap:
 
 def pullback(phi: FunctionTable, f: PointMap) -> FunctionTable:
     """The composite table ``phi after f`` on the source space of f."""
-    if phi.space_id != f.to_space:
-        raise SpaceMismatchError(
-            f"pullback: table on {phi.space_id!r} does not match map target {f.to_space!r}"
-        )
+    _require_same_space(phi._space, f._target, "pullback: table does not live on the map target")
     values = phi._values
     return FunctionTable._trusted(f.source, {x: values[y] for x, y in f._assign.items()})
 

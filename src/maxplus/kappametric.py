@@ -19,12 +19,11 @@ distance) are provided as negative controls.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import ValidationError
-from .ground import GroundSpace, distance
+from .ground import GroundSpace, _distance_to_set, distance
 from .rng import choose, rand_int, subset, trial_rng
 
 AXIOM_NAMES = {
@@ -39,8 +38,7 @@ def distance_to_set(space: GroundSpace, x: str, members: Sequence[str]) -> float
     """Euclidean distance from a point to a nonempty point set."""
     if not members:
         raise ValidationError("distance to the empty set is undefined")
-    cx = space.coords(x)
-    return min(math.dist(cx, space.coords(c)) for c in members)
+    return _distance_to_set(map(space.coords, members), space.coords(x))
 
 
 @dataclass(frozen=True)
@@ -61,8 +59,7 @@ def distance_candidate(space: GroundSpace) -> KappaCandidate:
     coords = {p: space.coords(p) for p in space.point_ids}
 
     def rho(x: str, members: tuple[str, ...]) -> float:
-        cx = coords[x]
-        return min(math.dist(cx, coords[c]) for c in members)
+        return _distance_to_set(map(coords.__getitem__, members), coords[x])
 
     return KappaCandidate("distance", space, rho)
 
@@ -78,8 +75,7 @@ def squared_distance_candidate(space: GroundSpace) -> KappaCandidate:
     coords = {p: space.coords(p) for p in space.point_ids}
 
     def rho(x: str, members: tuple[str, ...]) -> float:
-        cx = coords[x]
-        return min(math.dist(cx, coords[c]) for c in members) ** 2
+        return _distance_to_set(map(coords.__getitem__, members), coords[x]) ** 2
 
     return KappaCandidate("squared-distance", space, rho)
 

@@ -14,14 +14,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import (
-    CoefficientError,
-    NoMassError,
-    NormAxiomError,
-    SpaceMismatchError,
-    ValidationError,
+from .errors import CoefficientError, NoMassError, NormAxiomError, ValidationError
+from .ground import (
+    FunctionTable,
+    GroundSpace,
+    _require_same_space,
+    _same_space,
+    constant_table,
+    pointwise_max,
+    shift,
 )
-from .ground import FunctionTable, GroundSpace, constant_table, pointwise_max, shift
 from .semiring import NEG_INF, MaxPlusValue, Scalar, as_value
 
 
@@ -89,11 +91,7 @@ class IdempotentMeasure:
 
     def integrate(self, phi: FunctionTable) -> MaxPlusValue:
         """Maslov integral: the peak of ``weight + phi`` over the support."""
-        if phi.space_id != self.space_id:
-            raise SpaceMismatchError(
-                f"cannot integrate a table on {phi.space_id!r}"
-                f" against a measure on {self.space_id!r}"
-            )
+        _require_same_space(phi._space, self._space, "cannot integrate a table against a measure")
         values = phi.values
         return MaxPlusValue(max(w + values[pid] for pid, w in self._weights.items()))
 
@@ -105,7 +103,7 @@ class IdempotentMeasure:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IdempotentMeasure):
             return NotImplemented
-        return self.space_id == other.space_id and self._weights == other._weights
+        return _same_space(self._space, other._space) and self._weights == other._weights
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -169,10 +167,7 @@ def combine(
     rounds to ``-inf``, and the result is normalized bit-exactly (its new
     peak is ``max(alpha, beta) == 0``).
     """
-    if mu.space_id != nu.space_id:
-        raise SpaceMismatchError(
-            f"cannot combine measures on {mu.space_id!r} and {nu.space_id!r}"
-        )
+    _require_same_space(mu._space, nu._space, "cannot combine measures")
     av = as_value(alpha).as_float()
     bv = as_value(beta).as_float()
     if max(av, bv) != 0.0:
@@ -221,7 +216,7 @@ def card_class(mu: IdempotentMeasure, bound: float) -> bool:
 
 
 def supports_equal(mu: IdempotentMeasure, nu: IdempotentMeasure) -> bool:
-    return mu.space_id == nu.space_id and mu.support == nu.support
+    return _same_space(mu._space, nu._space) and mu.support == nu.support
 
 
 def max_weight_gap(mu: IdempotentMeasure, nu: IdempotentMeasure) -> float:
@@ -230,10 +225,7 @@ def max_weight_gap(mu: IdempotentMeasure, nu: IdempotentMeasure) -> float:
     Off-support points count as an infinite gap, so a finite return value
     certifies equal supports as well.
     """
-    if mu.space_id != nu.space_id:
-        raise SpaceMismatchError(
-            f"cannot compare measures on {mu.space_id!r} and {nu.space_id!r}"
-        )
+    _require_same_space(mu._space, nu._space, "cannot compare measures")
     if mu.support != nu.support:
         return math.inf
     nw = nu._weights

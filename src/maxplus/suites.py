@@ -52,6 +52,7 @@ from .measures import (
     IdempotentMeasure,
     check_axioms,
     combine,
+    make_measure,
     min_plus_functional,
     sum_functional,
 )
@@ -581,12 +582,7 @@ def run_openmap(trials: int = 200, seed: int = 0, tol: float = 0.0) -> SuiteRepo
             o = rand_int(rng, -max_offset, max_offset)
             i2 = min(max(i + o, 0), n - 1)
             atoms.append((f"g{i2}", w))
-        merged: dict[str, float] = {}
-        for pid, w in atoms:
-            cur = merged.get(pid)
-            if cur is None or w > cur:
-                merged[pid] = w
-        nu_prime = IdempotentMeasure(line, merged)
+        nu_prime = make_measure(line, atoms)
 
         inputs = {
             "trial": t,

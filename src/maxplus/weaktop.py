@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import DenseSetTooCoarseError, SpaceMismatchError, ValidationError
-from .ground import FunctionTable, GroundSpace
-from .measures import IdempotentMeasure
+from .errors import DenseSetTooCoarseError, ValidationError
+from .ground import FunctionTable, GroundSpace, _nearest, _require_same_space
+from .measures import IdempotentMeasure, make_measure
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,7 @@ class WeakNeighborhood:
         if not (self.epsilon > 0.0) or not math.isfinite(self.epsilon):
             raise ValidationError(f"epsilon must be a positive real, got {self.epsilon!r}")
         for phi in tests:
-            if phi.space_id != self.center.space_id:
-                raise SpaceMismatchError(
-                    f"test table on {phi.space_id!r} does not match the"
-                    f" neighborhood center on {self.center.space_id!r}"
-                )
+            _require_same_space(phi._space, self.center._space, "test table off the center's space")
         object.__setattr__(
             self,
             "_center_values",
@@ -50,11 +46,7 @@ class WeakNeighborhood:
 
     def discrepancies(self, nu: IdempotentMeasure) -> tuple[float, ...]:
         """Per-test absolute integral gaps between ``nu`` and the center."""
-        if nu.space_id != self.center.space_id:
-            raise SpaceMismatchError(
-                f"measure on {nu.space_id!r} cannot be tested against a"
-                f" neighborhood on {self.center.space_id!r}"
-            )
+        _require_same_space(nu._space, self.center._space, "measure off the neighborhood's space")
         return tuple(
             abs(nu.integrate(phi).as_float() - c)
             for phi, c in zip(self.tests, self._center_values)
@@ -65,20 +57,10 @@ class WeakNeighborhood:
         return all(d < self.epsilon for d in self.discrepancies(nu))
 
 
-def contains(nbhd: WeakNeighborhood, nu: IdempotentMeasure) -> bool:
-    return nbhd.contains(nu)
-
-
 def nearest_dense_point(space: GroundSpace, dense_ordered: Sequence[str], pid: str) -> str:
     """The dense point nearest to ``pid``; ties go to the earliest in space order."""
     target = space.coords(pid)
-    best = None
-    best_d = math.inf
-    for y in dense_ordered:
-        d = math.dist(space.coords(y), target)
-        if d < best_d:
-            best, best_d = y, d
-    return best
+    return dense_ordered[_nearest([space.coords(y) for y in dense_ordered], target)]
 
 
 def approximate_on_dense(
@@ -89,12 +71,14 @@ def approximate_on_dense(
 ) -> IdempotentMeasure:
     """Approximate a measure by one supported on a designated dense subset.
 
-    Each atom moves to its nearest dense point, weights ride along
-    unchanged, and atoms that land together merge by max. The result
-    must lie strictly inside the weak neighborhood of ``mu`` cut out by
-    ``tests`` and ``epsilon`` — otherwise the dense set cannot resolve
-    the measure at this epsilon and the call raises, reporting the worst
-    test discrepancy.
+    The result is the pushforward of ``mu`` along the retraction onto the
+    dense subset that sends each point to its nearest dense point (ties
+    to the earliest), taken only on the support: each atom moves, its
+    weight rides along unchanged, and atoms that land together merge by
+    max. The result must lie strictly inside the weak neighborhood of
+    ``mu`` cut out by ``tests`` and ``epsilon`` — otherwise the dense set
+    cannot resolve the measure at this epsilon and the call raises,
+    reporting the worst test discrepancy.
     """
     space = mu.space
     dense_ordered = space.ordered(set(dense))
@@ -102,14 +86,11 @@ def approximate_on_dense(
         raise ValidationError("dense subset must be nonempty")
     nbhd = WeakNeighborhood(mu, tuple(tests), epsilon)
 
-    out: dict[str, float] = {}
-    for x, w in mu.atoms():
-        y = nearest_dense_point(space, dense_ordered, x)
-        cur = out.get(y)
-        if cur is None or w > cur:
-            out[y] = w
-    ordered = {y: out[y] for y in dense_ordered if y in out}
-    nu = IdempotentMeasure._trusted(space, ordered)
+    dense_coords = [space.coords(y) for y in dense_ordered]
+    nu = make_measure(
+        space,
+        ((dense_ordered[_nearest(dense_coords, space.coords(x))], w) for x, w in mu.atoms()),
+    )
 
     gaps = nbhd.discrepancies(nu)
     worst = max(gaps)

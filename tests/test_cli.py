@@ -281,6 +281,22 @@ def test_exit_2_on_bad_env_tolerance(files):
     assert "MAXPLUS_TOL" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "source, value",
+    [("flag", "nan"), ("flag", "inf"), ("env", "nan"), ("env", "inf")],
+)
+def test_exit_2_on_non_finite_tolerance(files, source, value):
+    args = ["preimage-check", "--map", files["map"], "--nu", files["nu"], "--mu", files["measure"]]
+    if source == "flag":
+        r = run_cli(*args, f"--tol={value}")
+    else:
+        r = run_cli(*args, env_extra={"MAXPLUS_TOL": value})
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert ("--tol" if source == "flag" else "MAXPLUS_TOL") in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_env_tolerance_used(files):
     # widen the tolerance enough that the near-miss measure is accepted
     r = run_cli(

@@ -7,20 +7,33 @@ import pytest
 from maxplus import (
     FunctionTable,
     GroundSpace,
+    IdempotentMeasure,
     MetricUnavailableError,
     Point,
     PointMap,
+    SpaceMismatchError,
     UnknownPointError,
     ValidationError,
+    WeakNeighborhood,
+    canonical_lift,
+    combine,
     compose,
     constant_table,
     distance,
     fiber,
     fiber_points,
+    fiber_sup,
     identity_map,
+    lift_toward,
+    max_weight_gap,
     pointwise_max,
+    preimage_contains,
     pullback,
+    pushforward,
+    sample_preimage,
     shift,
+    support_displacement,
+    supports_equal,
     uniform_grid_1d,
     uniform_grid_2d,
 )
@@ -194,3 +207,58 @@ def test_uniform_grid_2d_row_major():
     assert g.coords("g0_0") == (0.0, 0.0)
     assert g.coords("g1_2") == (0.5, 1.0)
     assert g.coords("g2_2") == (1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Space identity: two different spaces may share an id
+# ---------------------------------------------------------------------------
+
+S1 = GroundSpace("S", ["a", "b"])
+S2 = GroundSpace("S", ["b", "c"])  # same id, different points
+T = GroundSpace("T", ["t"])
+ON_S1 = IdempotentMeasure.dirac(S1, "b")
+ON_S2 = IdempotentMeasure.dirac(S2, "b")
+PHI_S1 = constant_table(S1, 1.0)
+PHI_S2 = constant_table(S2, 1.0)
+TO_T_FROM_S2 = PointMap(S2, T, {"b": "t", "c": "t"})
+INTO_S1 = PointMap(T, S1, {"t": "a"})
+FROM_S2 = PointMap(S2, S2, {"b": "c", "c": "b"})
+
+MISMATCHED = {
+    "integrate": lambda: ON_S1.integrate(PHI_S2),
+    "combine": lambda: combine(0.0, ON_S1, 0.0, ON_S2),
+    "max_weight_gap": lambda: max_weight_gap(ON_S1, ON_S2),
+    "pointwise_max": lambda: pointwise_max(PHI_S1, PHI_S2),
+    "compose": lambda: compose(FROM_S2, INTO_S1),
+    "pullback": lambda: pullback(PHI_S2, INTO_S1),
+    "pushforward": lambda: pushforward(TO_T_FROM_S2, ON_S1),
+    "preimage_contains": lambda: preimage_contains(INTO_S1, ON_S2, IdempotentMeasure.dirac(T, "t")),
+    "canonical_lift": lambda: canonical_lift(INTO_S1, ON_S2),
+    "sample_preimage": lambda: sample_preimage(INTO_S1, ON_S2, 0),
+    "lift_toward": lambda: lift_toward(TO_T_FROM_S2, ON_S1, IdempotentMeasure.dirac(T, "t")),
+    "fiber_sup": lambda: fiber_sup(TO_T_FROM_S2, PHI_S1),
+    "support_displacement": lambda: support_displacement(ON_S1, ON_S2),
+    "neighborhood_test": lambda: WeakNeighborhood(ON_S1, (PHI_S2,), 0.1),
+    "neighborhood_member": lambda: WeakNeighborhood(ON_S1, (PHI_S1,), 0.1).contains(ON_S2),
+}
+
+
+@pytest.mark.parametrize("operation", sorted(MISMATCHED))
+def test_spaces_sharing_an_id_are_rejected(operation):
+    with pytest.raises(SpaceMismatchError, match="same id, different points"):
+        MISMATCHED[operation]()
+
+
+def test_spaces_sharing_an_id_are_unequal():
+    assert ON_S1 != ON_S2
+    assert not supports_equal(ON_S1, ON_S2)
+    assert PHI_S1 != PHI_S2
+    assert PointMap(S1, T, {"a": "t", "b": "t"}) != PointMap(S2, T, {"b": "t", "c": "t"})
+
+
+def test_equal_copies_of_a_space_are_one_space():
+    copy = GroundSpace("S", ["a", "b"])
+    assert IdempotentMeasure.dirac(copy, "b") == ON_S1
+    assert ON_S1.integrate(constant_table(copy, 1.0)).as_float() == 1.0
+    assert pushforward(PointMap(copy, T, {"a": "t", "b": "t"}), ON_S1).support == ("t",)
+    assert PointMap(copy, T, {"a": "t", "b": "t"}) == PointMap(S1, T, {"a": "t", "b": "t"})

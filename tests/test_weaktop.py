@@ -12,7 +12,6 @@ from maxplus import (
     ValidationError,
     WeakNeighborhood,
     approximate_on_dense,
-    contains,
     convergence_tail,
     converges,
     nearest_dense_point,
@@ -58,7 +57,6 @@ def test_neighborhood_validation():
 def test_center_always_belongs(mu, phi, psi):
     nbhd = WeakNeighborhood(mu, (phi, psi), 1e-9)
     assert nbhd.contains(mu)
-    assert contains(nbhd, mu)
     assert nbhd.discrepancies(mu) == (0.0, 0.0)
 
 
