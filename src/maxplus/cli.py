@@ -52,7 +52,7 @@ def _info(message: str) -> None:
 
 
 def _resolve_tol(value: float | None) -> float:
-    """The ``--tol`` value, else ``MAXPLUS_TOL``, else the default; it must be finite."""
+    """The ``--tol`` value, else ``MAXPLUS_TOL``, else the default; finite and not negative."""
     source, raw = "--tol", value
     if value is None:
         raw = os.environ.get("MAXPLUS_TOL")
@@ -65,6 +65,8 @@ def _resolve_tol(value: float | None) -> float:
         tol = math.nan
     if not math.isfinite(tol):
         raise ValidationError(f"{source} is not a finite number: {raw!r}")
+    if tol < 0.0:
+        raise ValidationError(f"{source} must not be negative: {raw!r}")
     return tol
 
 
@@ -210,6 +212,8 @@ def cmd_check(args) -> int:
     trials = args.trials if args.trials is not None else DEFAULT_TRIALS[args.suite]
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must not be negative, got {args.seed}")
     report = suite(trials=trials, seed=args.seed, tol=args.tol)
     _emit(report.to_json_dict())
     _info(report.human_summary())

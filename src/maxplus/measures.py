@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import CoefficientError, NoMassError, NormAxiomError, ValidationError
 from .ground import (
     FunctionTable,
@@ -24,6 +26,7 @@ from .ground import (
     pointwise_max,
     shift,
 )
+from .rng import trial_rng
 from .semiring import NEG_INF, MaxPlusValue, Scalar, as_value
 
 
@@ -113,6 +116,20 @@ class IdempotentMeasure:
     def __repr__(self) -> str:
         inner = ", ".join(f"{pid}: {w}" for pid, w in self._weights.items())
         return f"IdempotentMeasure({self.space_id!r}, {{{inner}}})"
+
+
+def _integrate_rows(mu: IdempotentMeasure, rows: np.ndarray) -> np.ndarray:
+    """The Maslov integral of each row of an ``(m, n)`` float64 array.
+
+    Columns follow the space's point order. Each result is bit-identical
+    to :meth:`IdempotentMeasure.integrate` of that row, except that where
+    ``+0.0`` and ``-0.0`` tie for the peak, numpy's ``max`` may return the
+    other zero than Python's, which keeps the first.
+    """
+    idx = [mu._space._index[pid] for pid in mu._weights]
+    w = np.fromiter(mu._weights.values(), np.float64, len(idx))
+    with np.errstate(over="ignore"):  # a sum that overflows is -inf, as in Python
+        return (w + rows[:, idx]).max(axis=1)
 
 
 def _build(
@@ -283,8 +300,6 @@ def check_axioms(
     """
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
-    from .rng import trial_rng  # local import: keeps the module numpy-free for pure use
-
     pids = space.point_ids
     n = len(pids)
     for t in range(trials):

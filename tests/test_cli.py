@@ -297,6 +297,36 @@ def test_exit_2_on_non_finite_tolerance(files, source, value):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_exit_2_on_negative_tolerance(files, source):
+    args = ["preimage-check", "--map", files["map"], "--nu", files["nu"], "--mu", files["measure"]]
+    if source == "flag":
+        r = run_cli(*args, "--tol=-1")
+    else:
+        r = run_cli(*args, env_extra={"MAXPLUS_TOL": "-1e-9"})
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "must not be negative" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_zero_tolerance_is_valid(files):
+    r = run_cli(
+        "preimage-check", "--map", files["map"], "--nu", files["nu"], "--mu", files["measure"], "--tol=0"
+    )
+    assert r.returncode == 0
+    assert json.loads(r.stdout) == {"contains": True, "tolerance": 0.0}
+
+
+@pytest.mark.parametrize("args", [["axioms", "--seed", "-1"], ["kappa", "--seed=-5"]])
+def test_exit_2_on_negative_seed(args):
+    r = run_cli("check", *args)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "--seed must not be negative" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_env_tolerance_used(files):
     # widen the tolerance enough that the near-miss measure is accepted
     r = run_cli(

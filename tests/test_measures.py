@@ -4,6 +4,7 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -30,6 +31,7 @@ from maxplus import (
     sum_functional,
     supports_equal,
 )
+from maxplus.measures import _integrate_rows
 from tests.conftest import finite_weights, measures_on, tables_on
 
 SPACE = GroundSpace("X", [Point("a"), Point("b"), Point("c")])
@@ -251,6 +253,41 @@ def test_invariants_hold_over_the_full_float_range(raw_mu, raw_nu, alpha):
         assert max(weights) == 0.0
         assert all(math.isfinite(w) for w in weights)
         json.loads(measure_to_json(m), parse_constant=_reject_constant)
+
+
+# ids out of sorted order: the batch kernel must follow the space's point order
+ROW_IDS = ["c", "a", "d", "b"]
+ROW_SPACE = GroundSpace("R", [Point(p) for p in ROW_IDS])
+SIGNED_ZERO_MEASURE = IdempotentMeasure.from_weights(ROW_SPACE, {"a": 0.0, "b": -0.0})
+row_measures = st.one_of(
+    st.dictionaries(st.sampled_from(ROW_IDS), full_range, min_size=1).map(
+        lambda raw: IdempotentMeasure.from_weights(ROW_SPACE, raw)
+    ),
+    st.just(SIGNED_ZERO_MEASURE),
+)
+table_rows = st.lists(st.lists(full_range, min_size=4, max_size=4), min_size=1, max_size=8)
+
+
+@given(row_measures, table_rows)
+@example(SIGNED_ZERO_MEASURE, [[-0.0] * 4])  # atoms a and b tie at +0.0 and -0.0
+@example(
+    IdempotentMeasure.from_weights(ROW_SPACE, {"c": -1e308, "a": 0.0}),
+    [[-1e308, -1e308, 0.0, 0.0]],  # the sum at c rounds to -inf
+)
+@example(
+    IdempotentMeasure.from_weights(ROW_SPACE, {"a": 0.0, "b": -1.0}),
+    [[1.0, 2.0, 3.0, 4.0]],  # 3.0 in point order, 1.0 in sorted-id order
+)
+def test_integrate_rows_matches_integrate(mu, rows):
+    # Bit-identical to the scalar integral, except that a tie between
+    # +0.0 and -0.0 may resolve to either zero.
+    got = _integrate_rows(mu, np.array(rows, dtype=np.float64))
+    assert got.shape == (len(rows),)
+    for value, row in zip(got.tolist(), rows):
+        want = mu.integrate(FunctionTable(ROW_SPACE, dict(zip(ROW_IDS, row)))).as_float()
+        assert value == want
+        if want != 0.0:
+            assert value.hex() == want.hex()
 
 
 # ---------------------------------------------------------------------------
