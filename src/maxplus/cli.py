@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import time
 
 from .errors import DenseSetTooCoarseError, MetricUnavailableError, ValidationError
 from .functor import lift_toward, preimage_contains, pushforward, support_displacement
@@ -214,9 +215,11 @@ def cmd_check(args) -> int:
         raise ValidationError(f"trials must be at least 1, got {trials}")
     if args.seed < 0:
         raise ValidationError(f"--seed must not be negative, got {args.seed}")
+    started = time.perf_counter()
     report = suite(trials=trials, seed=args.seed, tol=args.tol)
+    seconds = time.perf_counter() - started
     _emit(report.to_json_dict())
-    _info(report.human_summary())
+    _info(report.human_summary(seconds))
     return 0 if report.passed else 1
 
 

@@ -1,4 +1,4 @@
-"""JSON schemas for spaces, tables, maps, measures, and neighborhoods.
+"""JSON schemas for spaces, tables, maps, measures, and dense subsets.
 
 Wire formats:
 
@@ -9,7 +9,6 @@ Wire formats:
 * measure      ``{"space": "X", "atoms": [{"point": "a", "weight": 0.0}, ...]}``
   (weights are numbers or the string ``"-inf"``, which is trimmed away)
 * dense subset ``{"space": "X", "points": ["g0", "g1", ...]}``
-* neighborhood ``{"center": <measure>, "tests": [<function>, ...], "epsilon": 0.1}``
 
 Schema problems raise :class:`~maxplus.errors.ValidationError` with the
 offending key in the message.
@@ -25,7 +24,6 @@ from .errors import ValidationError
 from .ground import FunctionTable, GroundSpace, PointMap
 from .measures import IdempotentMeasure, make_measure
 from .semiring import MaxPlusValue
-from .weaktop import WeakNeighborhood
 
 
 def load_json_file(path: str) -> Any:
@@ -75,16 +73,6 @@ def space_from_dict(obj: Any) -> GroundSpace:
     return GroundSpace(str(space_id), points)
 
 
-def space_to_dict(space: GroundSpace) -> dict:
-    points = []
-    for p in space.points:
-        entry: dict[str, Any] = {"id": p.id}
-        if p.coords is not None:
-            entry["coords"] = list(p.coords)
-        points.append(entry)
-    return {"id": space.id, "points": points}
-
-
 # --- function tables ------------------------------------------------------
 
 def function_from_dict(obj: Any, space: GroundSpace) -> FunctionTable:
@@ -103,10 +91,6 @@ def function_from_dict(obj: Any, space: GroundSpace) -> FunctionTable:
     return FunctionTable(space, parsed)
 
 
-def function_to_dict(phi: FunctionTable) -> dict:
-    return {"space": phi.space_id, "values": dict(phi.values)}
-
-
 # --- point maps -----------------------------------------------------------
 
 def map_from_dict(obj: Any, source: GroundSpace, target: GroundSpace) -> PointMap:
@@ -121,10 +105,6 @@ def map_from_dict(obj: Any, source: GroundSpace, target: GroundSpace) -> PointMa
     if not isinstance(assign, dict):
         raise ValidationError("malformed map: 'assign' must be an object")
     return PointMap(source, target, {str(k): str(v) for k, v in assign.items()})
-
-
-def map_to_dict(f: PointMap) -> dict:
-    return {"from": f.from_space, "to": f.to_space, "assign": dict(f.assign)}
 
 
 # --- measures ---------------------------------------------------------------
@@ -167,7 +147,7 @@ def measure_to_json(mu: IdempotentMeasure) -> str:
     return f'{{\n  "atoms": [\n{atoms}\n  ],\n  "space": {enc(mu.space_id)}\n}}'
 
 
-# --- dense subsets and neighborhoods ---------------------------------------
+# --- dense subsets ---------------------------------------------------------
 
 def dense_from_dict(obj: Any) -> tuple[str, list[str]]:
     space_id = _require(obj, "space", "dense subset")
@@ -175,28 +155,6 @@ def dense_from_dict(obj: Any) -> tuple[str, list[str]]:
     if not isinstance(points, list):
         raise ValidationError("malformed dense subset: 'points' must be a list")
     return str(space_id), [str(p) for p in points]
-
-
-def neighborhood_from_dict(obj: Any, space: GroundSpace) -> WeakNeighborhood:
-    center = measure_from_dict(_require(obj, "center", "neighborhood"), space)
-    raw_tests = _require(obj, "tests", "neighborhood")
-    if not isinstance(raw_tests, list):
-        raise ValidationError("malformed neighborhood: 'tests' must be a list")
-    tests = tuple(function_from_dict(t, space) for t in raw_tests)
-    epsilon = _require(obj, "epsilon", "neighborhood")
-    try:
-        eps = float(epsilon)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("malformed neighborhood: 'epsilon' must be a number") from exc
-    return WeakNeighborhood(center, tests, eps)
-
-
-def neighborhood_to_dict(nbhd: WeakNeighborhood) -> dict:
-    return {
-        "center": measure_to_dict(nbhd.center),
-        "tests": [function_to_dict(t) for t in nbhd.tests],
-        "epsilon": nbhd.epsilon,
-    }
 
 
 # --- space inference for files that only name their space -------------------

@@ -109,11 +109,3 @@ def as_value(x: Scalar) -> MaxPlusValue:
     if isinstance(x, (int, float)):
         return MaxPlusValue(float(x))
     raise TypeError(f"cannot treat {type(x).__name__} as a max-plus scalar")
-
-
-def oplus(a: Scalar, b: Scalar) -> MaxPlusValue:
-    return as_value(a).oplus(b)
-
-
-def odot(a: Scalar, b: Scalar) -> MaxPlusValue:
-    return as_value(a).odot(b)

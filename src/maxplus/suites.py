@@ -5,17 +5,15 @@ seed, trial index), so single trials replay independently and results
 never depend on execution order. Reports carry one record per failed
 check with an input digest sufficient to reproduce the trial.
 
-Wall-clock time is kept on the report object for human summaries but
-deliberately left out of the JSON rendering, which must be byte-stable
-across runs.
+Wall-clock time is measured by ``check`` around the suite call, not by
+the suites: the JSON rendering of a report must be byte-stable across
+runs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,21 +67,37 @@ class SuiteReport:
 
     ``failures`` is empty exactly when the suite passed; each record
     identifies the trial, the master seed, the check that failed, and a
-    digest of the inputs for replay.
+    digest of the inputs for replay. ``seed`` is the master seed the
+    records carry; it is not rendered on its own.
     """
 
     suite: str
     trials: int
     failures: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
-    wall_time: float = 0.0
+    seed: int = 0
+
+    @classmethod
+    def counting(cls, suite: str, trials: int, seed: int, checks) -> SuiteReport:
+        """A report whose ``details["failures_by_check"]`` counts each declared check."""
+        counts = dict.fromkeys(checks, 0)
+        return cls(suite, trials, details={"failures_by_check": counts}, seed=seed)
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
+    def fail(self, trial: int, check: str, inputs, expected, actual) -> None:
+        """Record one failed check, and count it when the report counts checks.
+
+        A check the report did not declare raises ``KeyError``.
+        """
+        counts = self.details.get("failures_by_check")
+        if counts is not None:
+            counts[check] += 1
+        self.failures.append(_failure(trial, self.seed, check, inputs, expected, actual))
+
     def to_json_dict(self) -> dict:
-        # wall_time intentionally omitted: the JSON report is byte-stable
         return {
             "suite": self.suite,
             "trials": self.trials,
@@ -92,11 +106,11 @@ class SuiteReport:
             "details": self.details,
         }
 
-    def human_summary(self) -> str:
+    def human_summary(self, seconds: float) -> str:
         verdict = "PASS" if self.passed else "FAIL"
         return (
             f"suite {self.suite}: {self.trials} trials,"
-            f" {len(self.failures)} failures, {verdict} ({self.wall_time:.2f}s)"
+            f" {len(self.failures)} failures, {verdict} ({seconds:.2f}s)"
         )
 
 
@@ -120,13 +134,17 @@ def _plain_space(space_id: str, size: int) -> GroundSpace:
     return GroundSpace(space_id, [f"p{i}" for i in range(size)])
 
 
+def _random_weights(rng, support) -> dict:
+    """Weights in [-10, 0] on the support, one of them exactly 0."""
+    weights = {p: -rand_uniform(rng, 0.0, 10.0) for p in support}
+    weights[choose(rng, support)] = 0.0
+    return weights
+
+
 def _random_measure(rng, space: GroundSpace, max_atoms: int = 8) -> IdempotentMeasure:
     pids = list(space.point_ids)
     k = rand_int(rng, 1, min(max_atoms, len(pids)))
-    support = subset(rng, pids, k)
-    weights = {p: -rand_uniform(rng, 0.0, 10.0) for p in support}
-    weights[choose(rng, support)] = 0.0
-    return IdempotentMeasure(space, weights)
+    return IdempotentMeasure(space, _random_weights(rng, subset(rng, pids, k)))
 
 
 def _random_table(rng, space: GroundSpace, lo: float = -10.0, hi: float = 10.0) -> FunctionTable:
@@ -165,8 +183,7 @@ def run_axioms(trials: int = 1000, seed: int = 0, tol: float = 1e-12) -> SuiteRe
     summation) are then fed to the black-box checker and must be
     rejected.
     """
-    started = time.perf_counter()
-    report = SuiteReport("axioms", trials)
+    report = SuiteReport("axioms", trials, seed=seed)
     space = _plain_space("A", 10)
     n = len(space.point_ids)
     inner = 100
@@ -200,33 +217,21 @@ def run_axioms(trials: int = 1000, seed: int = 0, tol: float = 1e-12) -> SuiteRe
         if check == "order-preservation":
             expected = f">= {expected}"
         inputs = {"measure": _measure_dict(mu), "trial": t}
-        report.failures.append(_failure(t, seed, check, inputs, expected, float(actual[i])))
+        report.fail(t, check, inputs, expected, float(actual[i]))
 
     witness = _plain_space("B", 2)
     flat = IdempotentMeasure(witness, {"p0": 0.0, "p1": 0.0})
     two = IdempotentMeasure(witness, {"p0": 0.0, "p1": -1.0})
-    min_plus = check_axioms(
-        min_plus_functional(flat), witness, 1000, seed, tol, name="min-plus"
-    )
-    summation = check_axioms(
-        sum_functional(two), witness, 1000, seed, tol, name="summation"
-    )
-    report.details["counterfeits"] = {
-        "min_plus": min_plus.as_dict(),
-        "summation": summation.as_dict(),
-    }
-    if min_plus.passed:
-        report.failures.append(
-            _failure(-1, seed, "counterfeit-min-plus", {"name": "min-plus"},
-                     "rejected", "passed all trials")
-        )
-    if summation.passed:
-        report.failures.append(
-            _failure(-1, seed, "counterfeit-summation", {"name": "summation"},
-                     "rejected", "passed all trials")
-        )
+    counterfeits = report.details["counterfeits"] = {}
+    for key, name, functional in (
+        ("min_plus", "min-plus", min_plus_functional(flat)),
+        ("summation", "summation", sum_functional(two)),
+    ):
+        result = check_axioms(functional, witness, 1000, seed, tol, name=name)
+        counterfeits[key] = result.as_dict()
+        if result.passed:
+            report.fail(-1, f"counterfeit-{name}", {"name": name}, "rejected", "passed all trials")
     report.details["inner_tables_per_measure"] = inner
-    report.wall_time = time.perf_counter() - started
     return report
 
 
@@ -240,9 +245,9 @@ def run_functor(trials: int = 500, seed: int = 0, tol: float = 1e-12) -> SuiteRe
     equal the set-image of the support, and integrating against the
     image measure must agree with integrating the pulled-back table.
     """
-    started = time.perf_counter()
-    report = SuiteReport("functor", trials)
-    by_check = {"identity": 0, "composition": 0, "support_image": 0, "duality": 0}
+    report = SuiteReport.counting(
+        "functor", trials, seed, ("identity", "composition", "support_image", "duality")
+    )
 
     for t in range(trials):
         rng = trial_rng(seed, t)
@@ -260,26 +265,15 @@ def run_functor(trials: int = 500, seed: int = 0, tol: float = 1e-12) -> SuiteRe
         }
 
         if pushforward(identity_map(sx), mu) != mu:
-            by_check["identity"] += 1
-            report.failures.append(
-                _failure(t, seed, "identity", inputs, "mu", "changed by identity pushforward")
-            )
+            report.fail(t, "identity", inputs, "mu", "changed by identity pushforward")
 
         direct = pushforward(compose(g, f), mu)
         staged = pushforward(g, pushforward(f, mu))
         if direct != staged:
-            by_check["composition"] += 1
-            report.failures.append(
-                _failure(t, seed, "composition", inputs,
-                         _measure_dict(direct), _measure_dict(staged))
-            )
+            report.fail(t, "composition", inputs, _measure_dict(direct), _measure_dict(staged))
 
         if not (support_image_check(f, mu) and support_image_check(compose(g, f), mu)):
-            by_check["support_image"] += 1
-            report.failures.append(
-                _failure(t, seed, "support_image", inputs,
-                         "support equals image of support", "mismatch")
-            )
+            report.fail(t, "support_image", inputs, "support equals image of support", "mismatch")
 
         image_mu = pushforward(f, mu)
         for _ in range(3):
@@ -287,14 +281,9 @@ def run_functor(trials: int = 500, seed: int = 0, tol: float = 1e-12) -> SuiteRe
             lhs = image_mu.integrate(phi).as_float()
             rhs = mu.integrate(pullback(phi, f)).as_float()
             if not abs(lhs - rhs) <= tol:
-                by_check["duality"] += 1
-                report.failures.append(
-                    _failure(t, seed, "duality", inputs, rhs, lhs)
-                )
+                report.fail(t, "duality", inputs, rhs, lhs)
                 break
 
-    report.details["failures_by_check"] = by_check
-    report.wall_time = time.perf_counter() - started
     return report
 
 
@@ -313,14 +302,9 @@ def run_convexity(trials: int = 500, seed: int = 0, tol: float = 0.0) -> SuiteRe
     equality when both coefficients are finite), and the support size is
     bounded by the sum of the two sizes.
     """
-    started = time.perf_counter()
-    report = SuiteReport("convexity", trials)
-    by_check = {
-        "preimage": 0,
-        "support_subset": 0,
-        "support_union": 0,
-        "cardinality": 0,
-    }
+    report = SuiteReport.counting(
+        "convexity", trials, seed, ("preimage", "support_subset", "support_union", "cardinality")
+    )
 
     for t in range(trials):
         rng = trial_rng(seed, t)
@@ -329,10 +313,7 @@ def run_convexity(trials: int = 500, seed: int = 0, tol: float = 0.0) -> SuiteRe
         f = _random_map(rng, sx, sy)
         image = [y for y in sy.point_ids if y in f.image]
         k = rand_int(rng, 1, min(8, len(image)))
-        support = subset(rng, image, k)
-        weights = {p: -rand_uniform(rng, 0.0, 10.0) for p in support}
-        weights[choose(rng, support)] = 0.0
-        nu = IdempotentMeasure(sy, weights)
+        nu = IdempotentMeasure(sy, _random_weights(rng, subset(rng, image, k)))
 
         mu1 = sample_preimage(f, nu, rand_int(rng, 0, 2**31 - 1))
         mu2 = sample_preimage(f, nu, rand_int(rng, 0, 2**31 - 1))
@@ -360,36 +341,19 @@ def run_convexity(trials: int = 500, seed: int = 0, tol: float = 0.0) -> SuiteRe
         }
 
         if not preimage_contains(f, nu, combo, tol):
-            by_check["preimage"] += 1
-            report.failures.append(
-                _failure(t, seed, "preimage", inputs,
-                         _measure_dict(nu), _measure_dict(pushforward(f, combo)))
-            )
+            report.fail(t, "preimage", inputs, _measure_dict(nu),
+                        _measure_dict(pushforward(f, combo)))
 
         union = set(mu1.support) | set(mu2.support)
         combo_support = set(combo.support)
         if not combo_support <= union:
-            by_check["support_subset"] += 1
-            report.failures.append(
-                _failure(t, seed, "support_subset", inputs,
-                         sorted(union), sorted(combo_support))
-            )
+            report.fail(t, "support_subset", inputs, sorted(union), sorted(combo_support))
         if case in ("both-zero", "beta-negative", "alpha-negative") and combo_support != union:
-            by_check["support_union"] += 1
-            report.failures.append(
-                _failure(t, seed, "support_union", inputs,
-                         sorted(union), sorted(combo_support))
-            )
+            report.fail(t, "support_union", inputs, sorted(union), sorted(combo_support))
         if not len(combo) <= len(mu1) + len(mu2):
-            by_check["cardinality"] += 1
-            report.failures.append(
-                _failure(t, seed, "cardinality", inputs,
-                         f"<= {len(mu1) + len(mu2)}", len(combo))
-            )
+            report.fail(t, "cardinality", inputs, f"<= {len(mu1) + len(mu2)}", len(combo))
 
-    report.details["failures_by_check"] = by_check
     report.details["coefficient_cases"] = list(_COEFF_CASES)
-    report.wall_time = time.perf_counter() - started
     return report
 
 
@@ -423,8 +387,7 @@ def run_density(trials: int = 200, seed: int = 0, tol: float = 1e-12) -> SuiteRe
     inside the neighborhood. One deliberately under-resolved call
     (epsilon 0.001, atom mid-cell) must fail with a coarseness error.
     """
-    started = time.perf_counter()
-    report = SuiteReport("density", trials)
+    report = SuiteReport("density", trials, seed=seed)
     n_grid = 101
     epsilons = (0.1, 0.01)
     pitch = 1.0 / (n_grid - 1)
@@ -447,9 +410,7 @@ def run_density(trials: int = 200, seed: int = 0, tol: float = 1e-12) -> SuiteRe
         points += [(a, (c,)) for a, c in zip(atom_ids, atom_coords)]
         space = GroundSpace(f"D{t}", points)
 
-        weights = {a: -rand_uniform(rng, 0.0, 10.0) for a in atom_ids}
-        weights[choose(rng, list(atom_ids))] = 0.0
-        mu = IdempotentMeasure(space, weights)
+        mu = IdempotentMeasure(space, _random_weights(rng, atom_ids))
 
         k = rand_int(rng, 1, 5)
         tests = [
@@ -462,24 +423,16 @@ def run_density(trials: int = 200, seed: int = 0, tol: float = 1e-12) -> SuiteRe
         try:
             nu = approximate_on_dense(mu, grid_ids, tests, eps)
         except DenseSetTooCoarseError as exc:
-            report.failures.append(
-                _failure(t, seed, "approximation", inputs,
-                         f"discrepancy below {eps}", exc.worst_discrepancy)
-            )
+            report.fail(t, "approximation", inputs, f"discrepancy below {eps}",
+                        exc.worst_discrepancy)
             continue
         if not WeakNeighborhood(mu, tuple(tests), eps).contains(nu):
-            report.failures.append(
-                _failure(t, seed, "containment", inputs, "inside neighborhood", "outside")
-            )
+            report.fail(t, "containment", inputs, "inside neighborhood", "outside")
         if not set(nu.support) <= set(grid_ids):
-            report.failures.append(
-                _failure(t, seed, "support_in_dense", inputs,
-                         "support inside the dense set", sorted(nu.support))
-            )
+            report.fail(t, "support_in_dense", inputs, "support inside the dense set",
+                        sorted(nu.support))
         if not len(nu) <= len(mu):
-            report.failures.append(
-                _failure(t, seed, "support_size", inputs, f"<= {len(mu)}", len(nu))
-            )
+            report.fail(t, "support_size", inputs, f"<= {len(mu)}", len(nu))
 
     # Deliberately under-resolved: a mid-cell atom at epsilon far below
     # the half-pitch resolution bound must be rejected.
@@ -498,14 +451,11 @@ def run_density(trials: int = 200, seed: int = 0, tol: float = 1e-12) -> SuiteRe
         demo["raised"] = True
         demo["worst_discrepancy"] = exc.worst_discrepancy
     if not demo["raised"]:
-        report.failures.append(
-            _failure(-1, seed, "coarseness_demo", {"epsilon": demo_eps},
-                     "dense set too coarse", "approximation unexpectedly succeeded")
-        )
+        report.fail(-1, "coarseness_demo", {"epsilon": demo_eps}, "dense set too coarse",
+                    "approximation unexpectedly succeeded")
     report.details["coarseness_demo"] = demo
     report.details["epsilon_values"] = list(epsilons)
     report.details["resolution_threshold"] = 1.0 / (2 * (n_grid - 1))
-    report.wall_time = time.perf_counter() - started
     return report
 
 
@@ -528,8 +478,9 @@ def run_openmap(trials: int = 200, seed: int = 0, tol: float = 0.0) -> SuiteRepo
     bit-exactly while staying within delta plus one grid pitch of the
     base support.
     """
-    started = time.perf_counter()
-    report = SuiteReport("openmap", trials)
+    report = SuiteReport.counting(
+        "openmap", trials, seed, ("target_near_base", "exact_pushforward", "displacement")
+    )
     delta = 0.2
     sizes = (10, 15, 20, 25)
     planes = {n: uniform_grid_2d(f"G{n}", n) for n in sizes}
@@ -539,7 +490,6 @@ def run_openmap(trials: int = 200, seed: int = 0, tol: float = 0.0) -> SuiteRepo
         for n in sizes
         for axis in (0, 1)
     }
-    by_check = {"target_near_base": 0, "exact_pushforward": 0, "displacement": 0}
 
     for t in range(trials):
         rng = trial_rng(seed, t)
@@ -569,30 +519,19 @@ def run_openmap(trials: int = 200, seed: int = 0, tol: float = 0.0) -> SuiteRepo
         }
 
         if not support_displacement(nu0, nu_prime) <= delta:
-            by_check["target_near_base"] += 1
-            report.failures.append(
-                _failure(t, seed, "target_near_base", inputs,
-                         f"<= {delta}", support_displacement(nu0, nu_prime))
-            )
+            report.fail(t, "target_near_base", inputs, f"<= {delta}",
+                        support_displacement(nu0, nu_prime))
 
         lifted = lift_toward(f, mu0, nu_prime)
         if pushforward(f, lifted) != nu_prime:
-            by_check["exact_pushforward"] += 1
-            report.failures.append(
-                _failure(t, seed, "exact_pushforward", inputs,
-                         _measure_dict(nu_prime), _measure_dict(pushforward(f, lifted)))
-            )
+            report.fail(t, "exact_pushforward", inputs, _measure_dict(nu_prime),
+                        _measure_dict(pushforward(f, lifted)))
         moved = support_displacement(mu0, lifted)
         if not moved <= delta + pitch + tol:
-            by_check["displacement"] += 1
-            report.failures.append(
-                _failure(t, seed, "displacement", inputs, f"<= {delta + pitch}", moved)
-            )
+            report.fail(t, "displacement", inputs, f"<= {delta + pitch}", moved)
 
-    report.details["failures_by_check"] = by_check
     report.details["delta"] = delta
     report.details["grid_sizes"] = list(sizes)
-    report.wall_time = time.perf_counter() - started
     return report
 
 
@@ -606,9 +545,9 @@ def run_lemmas(trials: int = 500, seed: int = 0, tol: float = 1e-12) -> SuiteRep
     per-fiber maximum above it; measures supported inside a single fiber
     must integrate any table to a value between the fiber extremes.
     """
-    started = time.perf_counter()
-    report = SuiteReport("lemmas", trials)
-    by_check = {"dominated": 0, "extreme_attained": 0, "fiber_bounds": 0}
+    report = SuiteReport.counting(
+        "lemmas", trials, seed, ("dominated", "extreme_attained", "fiber_bounds")
+    )
 
     for t in range(trials):
         rng = trial_rng(seed, t)
@@ -627,11 +566,8 @@ def run_lemmas(trials: int = 500, seed: int = 0, tol: float = 1e-12) -> SuiteRep
         if not all(
             low_pull(x) <= phi(x) <= up_pull(x) for x in sx.point_ids
         ):
-            by_check["dominated"] += 1
-            report.failures.append(
-                _failure(t, seed, "dominated", inputs,
-                         "fiber min <= phi <= fiber max pointwise", "violated")
-            )
+            report.fail(t, "dominated", inputs, "fiber min <= phi <= fiber max pointwise",
+                        "violated")
 
         attained = True
         for y in sy.point_ids:
@@ -640,30 +576,19 @@ def run_lemmas(trials: int = 500, seed: int = 0, tol: float = 1e-12) -> SuiteRep
                 attained = False
                 break
         if not attained:
-            by_check["extreme_attained"] += 1
-            report.failures.append(
-                _failure(t, seed, "extreme_attained", inputs,
-                         "extremes attained in every fiber", f"not attained over {y!r}")
-            )
+            report.fail(t, "extreme_attained", inputs, "extremes attained in every fiber",
+                        f"not attained over {y!r}")
 
         y0 = choose(rng, list(sy.point_ids))
         pts = list(fiber_points(f, y0))
         sub = subset(rng, pts, rand_int(rng, 1, len(pts)))
-        weights = {p: -rand_uniform(rng, 0.0, 10.0) for p in sub}
-        weights[choose(rng, sub)] = 0.0
-        nu = IdempotentMeasure(sx, weights)
+        nu = IdempotentMeasure(sx, _random_weights(rng, sub))
         bound = check_fiber_bounds(f, y0, nu, phi, tol)
         if not (bound.applicable and bound.passed):
-            by_check["fiber_bounds"] += 1
-            report.failures.append(
-                _failure(t, seed, "fiber_bounds",
-                         {**inputs, "nu": _measure_dict(nu), "y0": y0},
-                         f"{bound.lower} <= integral <= {bound.upper}",
-                         bound.integral if bound.applicable else "inapplicable")
-            )
+            report.fail(t, "fiber_bounds", {**inputs, "nu": _measure_dict(nu), "y0": y0},
+                        f"{bound.lower} <= integral <= {bound.upper}",
+                        bound.integral if bound.applicable else "inapplicable")
 
-    report.details["failures_by_check"] = by_check
-    report.wall_time = time.perf_counter() - started
     return report
 
 
@@ -690,8 +615,7 @@ def run_kappa(trials: int = 100, seed: int = 0, tol: float = 1e-12) -> SuiteRepo
     squared-distance candidate must fail the Lipschitz check (K3), each
     with a concrete counterexample.
     """
-    started = time.perf_counter()
-    report = SuiteReport("kappa", trials)
+    report = SuiteReport("kappa", trials, seed=seed)
     inner = 10
 
     for t in range(trials):
@@ -703,32 +627,23 @@ def run_kappa(trials: int = 100, seed: int = 0, tol: float = 1e-12) -> SuiteRepo
             failed = {
                 k: v for k, v in result.axioms.items() if v["status"] == "fail"
             }
-            report.failures.append(
-                _failure(t, seed, "distance_axioms",
-                         {"trial": t, "points": len(space)},
-                         "all axioms pass", json.dumps(failed, sort_keys=True))
-            )
+            report.fail(t, "distance_axioms", {"trial": t, "points": len(space)},
+                        "all axioms pass", json.dumps(failed, sort_keys=True))
 
     witness_rng = trial_rng(seed, trials)
     witness = _random_metric_space(witness_rng, "Kwitness", max_points=12)
-    const_report = check_kappa_axioms(constant_candidate(witness), 1000, seed, tol)
-    squared_report = check_kappa_axioms(squared_distance_candidate(witness), 1000, seed, tol)
-    report.details["counterfeits"] = {
-        "constant": const_report.as_dict(),
-        "squared_distance": squared_report.as_dict(),
-    }
-    if const_report.axioms["K1"]["status"] != "fail":
-        report.failures.append(
-            _failure(-1, seed, "counterfeit-constant", {"candidate": "constant"},
-                     "K1 rejected", const_report.axioms["K1"]["status"])
-        )
-    if squared_report.axioms["K3"]["status"] != "fail":
-        report.failures.append(
-            _failure(-1, seed, "counterfeit-squared", {"candidate": "squared-distance"},
-                     "K3 rejected", squared_report.axioms["K3"]["status"])
-        )
+    counterfeits = report.details["counterfeits"] = {}
+    for key, check, name, candidate, axiom in (  # each counterfeit must fail its axiom
+        ("constant", "counterfeit-constant", "constant", constant_candidate, "K1"),
+        ("squared_distance", "counterfeit-squared", "squared-distance",
+         squared_distance_candidate, "K3"),
+    ):
+        result = check_kappa_axioms(candidate(witness), 1000, seed, tol)
+        counterfeits[key] = result.as_dict()
+        status = result.axioms[axiom]["status"]
+        if status != "fail":
+            report.fail(-1, check, {"candidate": name}, f"{axiom} rejected", status)
     report.details["inner_trials_per_space"] = inner
-    report.wall_time = time.perf_counter() - started
     return report
 
 

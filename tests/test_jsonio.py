@@ -10,18 +10,13 @@ from maxplus import GroundSpace, IdempotentMeasure, NEG_INF, Point, ValidationEr
 from maxplus.jsonio import (
     dense_from_dict,
     function_from_dict,
-    function_to_dict,
     load_json_file,
     map_from_dict,
-    map_to_dict,
     measure_from_dict,
     measure_to_dict,
     measure_to_json,
-    neighborhood_from_dict,
-    neighborhood_to_dict,
     referenced_points,
     space_from_dict,
-    space_to_dict,
 )
 
 SPACE_OBJ = {
@@ -46,15 +41,15 @@ def _space():
 def test_space_round_trip():
     space = _space()
     assert space.id == "X"
-    assert space.coords("b") == (1.0, 0.0)
-    assert space_from_dict(space_to_dict(space)).point_ids == space.point_ids
+    assert space.point_ids == ("a", "b", "c")
+    assert [space.coords(p) for p in space.point_ids] == [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
 
 
 def test_space_without_coords():
     space = space_from_dict({"id": "B", "points": [{"id": "p"}, {"id": "q"}]})
     assert not space.has_coords
-    back = space_to_dict(space)
-    assert back == {"id": "B", "points": [{"id": "p"}, {"id": "q"}]}
+    assert space.id == "B"
+    assert space.point_ids == ("p", "q")
 
 
 @pytest.mark.parametrize(
@@ -83,7 +78,8 @@ def test_function_round_trip():
     obj = {"space": "X", "values": {"a": 2.0, "b": -1.5, "c": 0.0}}
     phi = function_from_dict(obj, space)
     assert phi("a") == 2.0
-    assert function_to_dict(phi) == obj
+    assert phi.space_id == "X"
+    assert dict(phi.values) == obj["values"]
 
 
 def test_function_space_mismatch():
@@ -109,7 +105,8 @@ def test_map_round_trip():
     obj = {"from": "X", "to": "Y", "assign": {"a": "u", "b": "u", "c": "v"}}
     f = map_from_dict(obj, source, target)
     assert f("c") == "v"
-    assert map_to_dict(f) == obj
+    assert (f.from_space, f.to_space) == ("X", "Y")
+    assert dict(f.assign) == obj["assign"]
 
 
 def test_map_endpoint_mismatch():
@@ -196,7 +193,7 @@ def test_measure_to_json_matches_json_dumps(space_id, weights, numpy_weight):
 
 
 # ---------------------------------------------------------------------------
-# Dense subsets and neighborhoods
+# Dense subsets
 # ---------------------------------------------------------------------------
 
 
@@ -205,18 +202,6 @@ def test_dense_from_dict():
     assert sid == "X" and pts == ["a", "c"]
     with pytest.raises(ValidationError):
         dense_from_dict({"space": "X", "points": "ac"})
-
-
-def test_neighborhood_round_trip():
-    space = _space()
-    obj = {
-        "center": {"space": "X", "atoms": [{"point": "a", "weight": 0.0}]},
-        "tests": [{"space": "X", "values": {"a": 1.0, "b": 2.0, "c": 3.0}}],
-        "epsilon": 0.25,
-    }
-    nbhd = neighborhood_from_dict(obj, space)
-    assert nbhd.epsilon == 0.25
-    assert neighborhood_to_dict(nbhd) == obj
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,8 @@ def test_from_weights_normalizes():
 def test_dirac():
     mu = IdempotentMeasure.dirac(SPACE, "b")
     assert mu.support == ("b",)
-    assert mu.is_dirac
+    assert mu.is_dirac()
+    assert not IdempotentMeasure(SPACE, {"a": 0.0, "b": -1.0}).is_dirac()
     assert mu.weight("b").value == 0.0
 
 
