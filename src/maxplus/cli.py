@@ -35,7 +35,7 @@ from .jsonio import (
 )
 from .measures import IdempotentMeasure, combine
 from .semiring import as_value
-from .suites import DEFAULT_TRIALS, SUITES
+from .suites import BOUNDED_SUITES, SUITES
 from .weaktop import WeakNeighborhood, approximate_on_dense
 
 DEFAULT_TOL = 1e-9
@@ -99,13 +99,6 @@ def _ensure_spaces(registry: dict[str, GroundSpace], refs: dict[str, list[str]])
             registry[sid] = GroundSpace(sid, sorted(set(pts)))
 
 
-def _space_of(registry: dict[str, GroundSpace], obj, kind: str) -> GroundSpace:
-    sid = obj.get("space") if isinstance(obj, dict) else None
-    if not isinstance(sid, str):
-        raise ValidationError(f"malformed {kind}: missing key 'space'")
-    return registry[sid]
-
-
 def _test_list(obj) -> list:
     """The function objects of a tests file: a bare list or ``{"tests": [...]}``."""
     raw = obj.get("tests") if isinstance(obj, dict) else obj
@@ -121,17 +114,15 @@ def _refs(kind: str, obj) -> dict[str, list[str]]:
 
 
 def _parse(registry: dict[str, GroundSpace], kind: str, obj):
+    """Parse an object whose references :func:`_refs` has checked and registered."""
     if kind == "dense":
         return dense_from_dict(obj)
     if kind == "tests":
-        return [function_from_dict(t, _space_of(registry, t, "function")) for t in _test_list(obj)]
+        return [function_from_dict(t, registry[t["space"]]) for t in _test_list(obj)]
     if kind == "map":
-        from_id, to_id = obj.get("from"), obj.get("to")
-        if not isinstance(from_id, str) or not isinstance(to_id, str):
-            raise ValidationError("malformed map: missing 'from'/'to'")
-        return map_from_dict(obj, registry[from_id], registry[to_id])
+        return map_from_dict(obj, registry[obj["from"]], registry[obj["to"]])
     parse = measure_from_dict if kind == "measure" else function_from_dict
-    return parse(obj, _space_of(registry, obj, kind))
+    return parse(obj, registry[obj["space"]])
 
 
 def _load(args, **kinds: str) -> list:
@@ -209,14 +200,17 @@ def cmd_preimage_check(args) -> int:
 
 
 def cmd_check(args) -> int:
-    suite = SUITES[args.suite]
-    trials = args.trials if args.trials is not None else DEFAULT_TRIALS[args.suite]
-    if trials < 1:
-        raise ValidationError(f"trials must be at least 1, got {trials}")
+    options = {"seed": args.seed}
+    if args.trials is not None:
+        if args.trials < 1:
+            raise ValidationError(f"trials must be at least 1, got {args.trials}")
+        options["trials"] = args.trials
     if args.seed < 0:
         raise ValidationError(f"--seed must not be negative, got {args.seed}")
+    if args.suite in BOUNDED_SUITES:
+        options["tol"] = args.tol
     started = time.perf_counter()
-    report = suite(trials=trials, seed=args.seed, tol=args.tol)
+    report = SUITES[args.suite](**options)
     seconds = time.perf_counter() - started
     _emit(report.to_json_dict())
     _info(report.human_summary(seconds))
@@ -291,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--trials", type=int, default=None, help="trial count (default: per-suite)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None, help="comparison tolerance (default: MAXPLUS_TOL or 1e-9)")
+    p.add_argument("--tol", type=float, default=None, help="tolerance of homogeneity (axioms) and K3"
+                   " (kappa); every other check is exact (default: MAXPLUS_TOL or 1e-9)")
     p.set_defaults(func=cmd_check)
 
     return parser

@@ -140,29 +140,20 @@ class FiberBoundReport:
     integral: float | None
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "point": self.point,
-            "lower": self.lower,
-            "upper": self.upper,
-            "integral": self.integral,
-            "passed": self.passed,
-        }
-
 
 def check_fiber_bounds(
     f: PointMap,
     y0: str,
     nu: IdempotentMeasure,
     phi: FunctionTable,
-    tol: float = 1e-12,
 ) -> FiberBoundReport:
     """Bound the integral of a measure that pushes forward to a point mass.
 
     When the pushforward of ``nu`` is the point mass at ``y0`` (else the
     report is marked inapplicable), the integral of any source table is
     squeezed between that table's minimum and maximum over the fiber.
+    The bound is compared exactly: the peak atom adds 0 to its value and
+    every other atom adds a weight below 0, which rounding cannot lift.
     """
     f.target.index(y0)
     push = pushforward(f, nu)
@@ -173,7 +164,7 @@ def check_fiber_bounds(
     lower = min(values[x] for x in pts)
     upper = max(values[x] for x in pts)
     integral = nu.integrate(phi).as_float()
-    passed = (lower - tol) <= integral <= (upper + tol)
+    passed = lower <= integral <= upper
     return FiberBoundReport(True, y0, lower, upper, integral, passed)
 
 

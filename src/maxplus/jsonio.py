@@ -32,7 +32,7 @@ def load_json_file(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, an integer too long to read
         raise ValidationError(f"invalid JSON in {path!r}: {exc}") from exc
 
 
@@ -42,6 +42,21 @@ def _require(obj: Any, key: str, kind: str) -> Any:
     if key not in obj:
         raise ValidationError(f"malformed {kind}: missing key {key!r}")
     return obj[key]
+
+
+def _typed(obj: Any, key: str, kind: str, cls: type) -> Any:
+    """``obj[key]``, which must be a JSON string (``cls`` str) or object (``cls`` dict)."""
+    value = _require(obj, key, kind)
+    if not isinstance(value, cls):
+        noun = "a string" if cls is str else "an object"
+        raise ValidationError(f"malformed {kind}: {key!r} must be {noun}")
+    return value
+
+
+def _reject_booleans(numbers: Any, what: str) -> None:
+    """JSON ``true`` and ``false`` are not numbers, although ``float`` accepts them."""
+    if bool in set(map(type, numbers)):
+        raise ValidationError(f"malformed {what}: expected numbers, got a boolean")
 
 
 def _column(items: Any, key: str, kind: str) -> list:
@@ -67,8 +82,10 @@ def space_from_dict(obj: Any) -> GroundSpace:
     for entry in raw_points:
         pid = _require(entry, "id", "space point")
         coords = entry.get("coords")
-        if coords is not None and not isinstance(coords, list):
-            raise ValidationError(f"malformed space point {pid!r}: 'coords' must be a list")
+        if coords is not None:
+            if not isinstance(coords, list):
+                raise ValidationError(f"malformed space point {pid!r}: 'coords' must be a list")
+            _reject_booleans(coords, f"space point {pid!r}")
         points.append((pid, coords))
     return GroundSpace(str(space_id), points)
 
@@ -81,9 +98,8 @@ def function_from_dict(obj: Any, space: GroundSpace) -> FunctionTable:
         raise ValidationError(
             f"function addresses space {space_id!r} but was resolved against {space.id!r}"
         )
-    values = _require(obj, "values", "function")
-    if not isinstance(values, dict):
-        raise ValidationError("malformed function: 'values' must be an object")
+    values = _typed(obj, "values", "function", dict)
+    _reject_booleans(values.values(), "function")
     try:
         parsed = {str(k): float(v) for k, v in values.items()}
     except (TypeError, ValueError) as exc:
@@ -101,9 +117,7 @@ def map_from_dict(obj: Any, source: GroundSpace, target: GroundSpace) -> PointMa
             f"map addresses {from_id!r} -> {to_id!r} but was resolved against"
             f" {source.id!r} -> {target.id!r}"
         )
-    assign = _require(obj, "assign", "map")
-    if not isinstance(assign, dict):
-        raise ValidationError("malformed map: 'assign' must be an object")
+    assign = _typed(obj, "assign", "map", dict)
     return PointMap(source, target, {str(k): str(v) for k, v in assign.items()})
 
 
@@ -164,21 +178,22 @@ def referenced_points(kind: str, obj: Any) -> dict[str, list[str]]:
 
     Used to infer coordinate-less spaces when no space file is supplied:
     the inferred space is the sorted union of every id referenced under
-    that space id.
+    that space id. Checks the shape the parsers need, space ids included,
+    so every referenced space id is a string.
     """
     refs: dict[str, list[str]] = {}
     if kind == "function":
-        values = _require(obj, "values", "function")
-        refs[str(_require(obj, "space", "function"))] = [str(k) for k in values]
+        values = _typed(obj, "values", "function", dict)
+        refs[_typed(obj, "space", "function", str)] = [str(k) for k in values]
     elif kind == "measure":
         atoms = _require(obj, "atoms", "measure")
-        refs[str(_require(obj, "space", "measure"))] = [
+        refs[_typed(obj, "space", "measure", str)] = [
             str(p) for p in _column(atoms, "point", "measure atom")
         ]
     elif kind == "map":
-        assign = _require(obj, "assign", "map")
-        from_id = str(_require(obj, "from", "map"))
-        to_id = str(_require(obj, "to", "map"))
+        assign = _typed(obj, "assign", "map", dict)
+        from_id = _typed(obj, "from", "map", str)
+        to_id = _typed(obj, "to", "map", str)
         refs.setdefault(from_id, []).extend(str(k) for k in assign)
         refs.setdefault(to_id, []).extend(str(v) for v in assign.values())
     elif kind == "dense":

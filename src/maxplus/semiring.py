@@ -87,7 +87,7 @@ class MaxPlusValue:
             if obj.strip().lower() in ("-inf", "-infinity"):
                 return NEG_INF
             raise ScalarError(f"not a max-plus scalar: {obj!r}")
-        if isinstance(obj, (int, float)):
+        if isinstance(obj, (int, float)) and not isinstance(obj, bool):
             return cls(float(obj))
         raise ScalarError(f"not a max-plus scalar: {obj!r}")
 

@@ -4,11 +4,14 @@
 scalar integral per table. Both must print the same report, including
 which trial, table and law each failure names, in settings where the
 laws really fail: a zero tolerance (homogeneity rounds), a negative
-tolerance (every norm check fails) and a generator whose ``eta`` draws
-come back negated (order preservation fails), alone and with a zero
-tolerance, where homogeneity and order preservation fail in one table.
-Max-additivity never fails first: it holds exactly at any tolerance
-that is not negative, and under a negative one the norm check fails.
+tolerance (every homogeneity check fails), a generator whose ``eta``
+draws come back negated (order preservation fails), alone and with a
+zero tolerance, where homogeneity and order preservation fail in one
+table, and measures whose weights all sit 1e-12 below a normalized
+measure's (norm fails). Norm, max-additivity and order preservation
+compare exactly; only homogeneity reads the tolerance. Max-additivity
+fails in none of these settings: it holds exactly, and none of them
+touches the joined tables.
 """
 
 import json
@@ -29,7 +32,6 @@ from maxplus.suites import (
     _failure,
     _measure_dict,
     _plain_space,
-    _random_measure,
 )
 
 # --- reference loop -----------------------------------------------------------
@@ -44,7 +46,7 @@ def ref_run_axioms(trials, seed, tol):
 
     for t in range(trials):
         rng = suites.trial_rng(seed, t)
-        mu = _random_measure(rng, space)
+        mu = suites._random_measure(rng, space)
         phis = rng.uniform(-10.0, 10.0, (inner, n)).tolist()
         psis = rng.uniform(-10.0, 10.0, (inner, n)).tolist()
         lams = rng.uniform(-5.0, 5.0, inner).tolist()
@@ -59,7 +61,7 @@ def ref_run_axioms(trials, seed, tol):
             psi = FunctionTable._trusted(space, dict(zip(pids, psi_row)))
 
             got = mu.integrate(constant_table(space, lam)).as_float()
-            if not abs(got - lam) <= tol:
+            if got != lam:
                 report.failures.append(_failure(t, seed, "norm", inputs, lam, got))
                 break
 
@@ -76,7 +78,7 @@ def ref_run_axioms(trials, seed, tol):
             )
             got = mu.integrate(joined).as_float()
             want = max(m_phi, m_psi)
-            if not abs(got - want) <= tol:
+            if got != want:
                 report.failures.append(_failure(t, seed, "max-additivity", inputs, want, got))
                 break
 
@@ -84,7 +86,7 @@ def ref_run_axioms(trials, seed, tol):
                 space, {p: a + e for p, a, e in zip(pids, phi_row, etas[i])}
             )
             got = mu.integrate(above).as_float()
-            if not got >= m_phi - tol:
+            if not got >= m_phi:
                 report.failures.append(
                     _failure(t, seed, "order-preservation", inputs, f">= {m_phi}", got)
                 )
@@ -130,6 +132,16 @@ class NegatedEta:
         return getattr(self._rng, name)
 
 
+def lower_every_weight(monkeypatch):
+    """Measures whose weights all sit 1e-12 below a normalized measure's."""
+    real = suites._random_measure
+
+    def random_measure(rng, space):
+        mu = real(rng, space)
+        return IdempotentMeasure._trusted(space, {p: w - 1e-12 for p, w in mu.atoms()})
+    monkeypatch.setattr(suites, "_random_measure", random_measure)
+
+
 def _text(report):
     return json.dumps(report.to_json_dict(), sort_keys=True)
 
@@ -139,15 +151,18 @@ def _text(report):
     "setting, tol, laws",
     [
         ("zero-tolerance", 0.0, {"homogeneity"}),
-        ("negative-tolerance", -1e-300, {"norm"}),
+        ("negative-tolerance", -1e-300, {"homogeneity"}),
         ("negated-eta", 1e-12, {"order-preservation"}),
         ("negated-eta", 0.0, {"homogeneity", "order-preservation"}),
+        ("lowered-weights", 1.0, {"norm"}),
     ],
 )
 def test_batched_suite_reports_like_the_table_loop(monkeypatch, seed, setting, tol, laws):
     if setting == "negated-eta":
         real = suites.trial_rng
         monkeypatch.setattr(suites, "trial_rng", lambda s, t: NegatedEta(real(s, t)))
+    if setting == "lowered-weights":
+        lower_every_weight(monkeypatch)
     want = ref_run_axioms(200, seed, tol)
     got = suites.run_axioms(200, seed, tol)
     assert _text(got) == _text(want)

@@ -257,6 +257,68 @@ def test_exit_2_on_non_numeric_coords(tmp_path, files):
     assert "error:" in r.stderr and "Traceback" not in r.stderr
 
 
+MEASURE_X = {"space": "X", "atoms": [{"point": "a", "weight": 0.0}]}
+TABLE_X = {"space": "X", "values": {"a": 1.0}}
+
+
+def _map_to_y(assign):
+    return {"from": "X", "to": "Y", "assign": assign}
+
+
+@pytest.mark.parametrize(
+    "command, inputs, message",
+    [
+        ("integrate", {"measure": MEASURE_X, "function": {"space": "X", "values": 5}},
+         "'values' must be an object"),
+        ("pushforward", {"map": _map_to_y(5), "measure": MEASURE_X}, "'assign' must be an object"),
+        ("pushforward", {"map": _map_to_y("abc"), "measure": MEASURE_X},
+         "'assign' must be an object"),
+        ("pushforward", {"map": _map_to_y([1]), "measure": MEASURE_X},
+         "'assign' must be an object"),
+        ("pushforward", {"map": _map_to_y([1]), "measure": MEASURE_X,
+                         "space": {"id": "X", "points": [{"id": "a"}]}},
+         "'assign' must be an object"),
+        ("integrate", {"measure": {"space": "X", "atoms": [{"point": "a", "weight": False}]},
+                       "function": TABLE_X}, "not a max-plus scalar: False"),
+        ("integrate", {"measure": MEASURE_X, "function": {"space": "X", "values": {"a": True}}},
+         "got a boolean"),
+        ("integrate", {"measure": MEASURE_X, "function": TABLE_X,
+                       "space": {"id": "X", "points": [{"id": "a", "coords": [True]}]}},
+         "got a boolean"),
+        ("integrate", {"measure": {**MEASURE_X, "space": 5}, "function": TABLE_X},
+         "'space' must be a string"),
+        ("pushforward", {"map": {**_map_to_y({"a": "u"}), "from": 5}, "measure": MEASURE_X},
+         "'from' must be a string"),
+    ],
+    ids=[
+        "values-5", "assign-5", "assign-abc", "assign-list", "assign-list-with-space",
+        "weight-false", "value-true", "coords-true", "space-5", "from-5",
+    ],
+)
+def test_exit_2_on_malformed_object(tmp_path, command, inputs, message):
+    args = [command]
+    for option, obj in inputs.items():
+        path = tmp_path / f"{option}.json"
+        path.write_text(json.dumps(obj))
+        args += [f"--{option}", str(path)]
+    r = run_cli(*args)
+    assert r.returncode == 2, r.stderr
+    assert message in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe", b'{"space": "X", "atoms": [{"point": "a", "weight": ' + b"1" * 5000 + b"}]}"],
+    ids=["not-utf8", "integer-too-long"],
+)
+def test_exit_2_on_unreadable_json(tmp_path, files, content):
+    bad = tmp_path / "measure.json"
+    bad.write_bytes(content)
+    r = run_cli("integrate", "--measure", str(bad), "--function", files["function"])
+    assert r.returncode == 2
+    assert "invalid JSON" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_exit_2_on_missing_file(files):
     r = run_cli("integrate", "--measure", "/nonexistent.json", "--function", files["function"])
     assert r.returncode == 2

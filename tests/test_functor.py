@@ -174,7 +174,7 @@ def test_check_fiber_bounds_oracle():
     assert report.applicable and report.passed
     assert report.lower == 3.0 and report.upper == 4.0
     assert report.integral == 3.5
-    assert report.as_dict()["point"] == "u"
+    assert report.point == "u"
 
 
 def test_check_fiber_bounds_inapplicable_when_spread():

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from maxplus import (
-    BUILTIN_CANDIDATES,
     GroundSpace,
     KappaAxiomReport,
     KappaCandidate,
@@ -49,10 +48,6 @@ def test_distance_to_set_rejects_empty():
 # ---------------------------------------------------------------------------
 # Candidates
 # ---------------------------------------------------------------------------
-
-
-def test_builtin_candidates_registry():
-    assert set(BUILTIN_CANDIDATES) == {"distance", "constant", "squared-distance"}
 
 
 def test_distance_candidate_passes_all_axioms():

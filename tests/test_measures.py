@@ -29,7 +29,6 @@ from maxplus import (
     min_plus_functional,
     shift,
     sum_functional,
-    supports_equal,
 )
 from maxplus.measures import _integrate_rows
 from tests.conftest import finite_weights, measures_on, tables_on
@@ -302,7 +301,6 @@ def test_measure_equal_and_gap():
     assert max_weight_gap(mu, nu) == pytest.approx(1e-13, abs=1e-15)
     assert measure_equal(mu, nu, tol=1e-12)
     assert not measure_equal(mu, nu, tol=0.0)
-    assert supports_equal(mu, nu)
 
 
 def test_gap_infinite_on_support_mismatch():
