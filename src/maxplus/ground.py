@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -37,54 +37,47 @@ class GroundSpace:
 
     Point ids must be unique; coordinates, when present, must be carried
     by every point, have a common dimension, and be pairwise distinct
-    (so the Euclidean distance separates points).
+    (so the Euclidean distance separates points). A space stores its ids,
+    an id-to-position dict and, with coordinates, one float tuple per
+    point. Checks run on whole columns; points are walked one by one only
+    to convert coordinates that are not all floats, or to name the
+    offender once a check has failed.
     """
+
+    __slots__ = ("_id", "_ids", "_index", "_coords")
 
     def __init__(self, space_id: str, points: Iterable[PointLike]):
         self._id = str(space_id)
-        normalized: list[Point] = []
-        for entry in points:
-            if isinstance(entry, str):
-                p = Point(entry)
-            elif isinstance(entry, Point):
-                p = entry if entry.coords is None else Point(entry.id, _as_coords(entry.coords))
-            else:
-                pid, coords = entry
-                p = Point(str(pid), _as_coords(coords))
-            normalized.append(p)
-        if not normalized:
+        ids, rows = _split(points)
+        coords = None if rows is None else _coord_rows(rows)
+        if not ids:
             raise ValidationError(f"space {space_id!r} must contain at least one point")
 
-        index = {p.id: i for i, p in enumerate(normalized)}
-        if len(index) != len(normalized):
-            dup = next(p.id for i, p in enumerate(normalized) if index[p.id] != i)
+        index = dict(zip(ids, range(len(ids))))
+        if len(index) != len(ids):
+            dup = next(pid for i, pid in enumerate(ids) if index[pid] != i)
             raise ValidationError(f"duplicate point id {dup!r} in space {space_id!r}")
 
-        with_coords = [p for p in normalized if p.coords is not None]
-        if with_coords and len(with_coords) != len(normalized):
-            raise ValidationError(
-                f"space {space_id!r}: either every point carries coordinates or none does"
-            )
-        if with_coords:
-            dims = {len(p.coords) for p in with_coords}
+        if coords is not None:
+            if None in coords:
+                raise ValidationError(
+                    f"space {space_id!r}: either every point carries coordinates or none does"
+                )
+            dims = set(map(len, coords))
             if len(dims) != 1:
                 raise ValidationError(f"space {space_id!r}: mixed coordinate dimensions {sorted(dims)}")
-            seen: dict[tuple[float, ...], str] = {}
-            for p in with_coords:
-                if p.coords in seen:
-                    raise ValidationError(
-                        f"space {space_id!r}: points {seen[p.coords]!r} and {p.id!r}"
-                        f" share coordinates {p.coords}"
-                    )
-                seen[p.coords] = p.id
+            if len(set(coords)) != len(coords):
+                seen: dict[tuple[float, ...], str] = {}
+                for pid, c in zip(ids, coords):
+                    if c in seen:
+                        raise ValidationError(
+                            f"space {space_id!r}: points {seen[c]!r} and {pid!r} share coordinates {c}"
+                        )
+                    seen[c] = pid
 
-        self._points = tuple(normalized)
-        self._ids = tuple(index)
+        self._ids = tuple(ids)
         self._index = index
-        self._id_set = frozenset(index)
-        self._coords = (
-            {p.id: p.coords for p in normalized} if with_coords else None
-        )
+        self._coords = coords
 
     @property
     def id(self) -> str:
@@ -92,7 +85,10 @@ class GroundSpace:
 
     @property
     def points(self) -> tuple[Point, ...]:
-        return self._points
+        """The points as :class:`Point` values, built on each call."""
+        return tuple(map(Point, self._ids, repeat(None) if self._coords is None else self._coords))
+
+    _points = points  # the name the bench tracer counts points by
 
     @property
     def point_ids(self) -> tuple[str, ...]:
@@ -103,7 +99,7 @@ class GroundSpace:
         return self._coords is not None
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._ids)
 
     def __contains__(self, point_id: object) -> bool:
         return point_id in self._index
@@ -118,7 +114,7 @@ class GroundSpace:
         if self._coords is None:
             raise MetricUnavailableError(f"metric unavailable: space {self._id!r} has no coordinates")
         try:
-            return self._coords[point_id]
+            return self._coords[self._index[point_id]]
         except KeyError:
             raise UnknownPointError(point_id, self._id) from None
 
@@ -127,16 +123,58 @@ class GroundSpace:
         return sorted(point_ids, key=self.index)
 
     def __repr__(self) -> str:
-        return f"GroundSpace({self._id!r}, {len(self._points)} points)"
+        return f"GroundSpace({self._id!r}, {len(self._ids)} points)"
 
 
-def _as_coords(coords: Sequence[float] | None) -> tuple[float, ...] | None:
-    if coords is None:
-        return None
+def _split(points: Iterable[PointLike]) -> tuple[list[str], list | None]:
+    """The ids and the raw coordinates of the entries; ``None`` for no coordinates at all.
+
+    Raw coordinates are ``None`` for an entry without them. Bare ids and
+    ``(id, coords)`` pairs are split a column at a time.
+    """
+    entries = list(points)
+    kinds = set(map(type, entries))
+    if kinds <= {str}:
+        return entries, None
+    if kinds == {tuple} and set(map(len, entries)) == {2}:
+        raw_ids, rows = zip(*entries)
+        ids = list(map(str, raw_ids))
+    else:
+        ids, rows = [], []
+        for entry in entries:
+            if isinstance(entry, str):
+                pid, coords = entry, None
+            elif isinstance(entry, Point):
+                pid, coords = entry.id, entry.coords
+            else:
+                pid, coords = entry
+                pid = str(pid)
+            ids.append(pid)
+            rows.append(coords)
+    return ids, None if rows.count(None) == len(rows) else list(rows)
+
+
+def _coord_rows(rows: list) -> tuple:
+    """Each raw coordinate sequence as a float tuple, ``None`` kept where absent.
+
+    Lists and tuples of floats that are all non-empty and finite pass in
+    a few whole-column passes. Anything else is converted point by point
+    by :func:`_as_coords`, which raises for the first bad point.
+    """
+    if set(map(type, rows)) <= {tuple, list} and set(map(type, chain.from_iterable(rows))) <= {float}:
+        out = tuple(map(tuple, rows))
+        if all(map(math.isfinite, chain.from_iterable(out))) and 0 not in set(map(len, out)):
+            return out
+    return tuple(None if r is None else _as_coords(r) for r in rows)
+
+
+def _as_coords(coords: Sequence[float]) -> tuple[float, ...]:
     try:
         out = tuple(float(c) for c in coords)
     except (TypeError, ValueError):
         raise ValidationError(f"coordinates must be numbers, got {coords!r}") from None
+    except OverflowError:  # an integer too large for a float
+        raise ValidationError(f"coordinates out of float range: {coords!r}") from None
     if not out:
         raise ValidationError("coordinates must be non-empty when present")
     if not all(math.isfinite(c) for c in out):
@@ -176,16 +214,21 @@ class FunctionTable:
     """Total real-valued function on a ground space."""
 
     def __init__(self, space: GroundSpace, values: Mapping[str, float]):
-        if values.keys() != space._id_set:
-            missing = space._id_set - values.keys()
-            extra = values.keys() - space._id_set
+        ids = space._index.keys()
+        if values.keys() != ids:
             raise ValidationError(
                 f"function table on space {space.id!r} is not total:"
-                f" missing {sorted(missing)}, extraneous {sorted(extra)}"
+                f" missing {sorted(ids - values.keys())}, extraneous {sorted(values.keys() - ids)}"
             )
-        vals = {p: float(values[p]) for p in space.point_ids}
-        if not all(math.isfinite(v) for v in vals.values()):
-            raise ValidationError(f"function table on space {space.id!r} has non-finite values")
+        where = f"function table on space {space.id!r}"
+        try:
+            vals = {p: float(values[p]) for p in space._ids}
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{where} has a non-numeric value ({exc})") from None
+        except OverflowError:  # an integer too large for a float
+            raise ValidationError(f"{where} has a value out of float range") from None
+        if not all(map(math.isfinite, vals.values())):
+            raise ValidationError(f"{where} has non-finite values")
         self._space = space
         self._values = vals
 
@@ -255,22 +298,23 @@ class PointMap:
     """Total map between the points of two ground spaces."""
 
     def __init__(self, source: GroundSpace, target: GroundSpace, assign: Mapping[str, str]):
-        if assign.keys() != source._id_set:
-            missing = source._id_set - assign.keys()
-            extra = assign.keys() - source._id_set
+        ids = source._index.keys()
+        if assign.keys() != ids:
             raise ValidationError(
-                f"map from {source.id!r} is not total: missing {sorted(missing)},"
-                f" extraneous {sorted(extra)}"
+                f"map from {source.id!r} is not total: missing {sorted(ids - assign.keys())},"
+                f" extraneous {sorted(assign.keys() - ids)}"
             )
-        fibers: dict[str, list[str]] = {t: [] for t in target.point_ids}
-        for x in source.point_ids:
-            y = assign[x]
-            if y not in fibers:
-                raise UnknownPointError(y, target.id)
-            fibers[y].append(x)
+        assigned = {x: assign[x] for x in source._ids}
+        fibers: dict[str, list[str]] = {t: [] for t in target._ids}
+        try:
+            for x, y in assigned.items():
+                fibers[y].append(x)
+        except KeyError:
+            y = next(y for y in assigned.values() if y not in fibers)
+            raise UnknownPointError(y, target.id) from None
         self._source = source
         self._target = target
-        self._assign = {x: assign[x] for x in source.point_ids}
+        self._assign = assigned
         self._fibers = {y: tuple(xs) for y, xs in fibers.items()}
         self._image = frozenset(y for y, xs in self._fibers.items() if xs)
 

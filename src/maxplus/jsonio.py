@@ -17,8 +17,9 @@ offending key in the message.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, Collection, Iterable
 
 from .errors import ValidationError
 from .ground import FunctionTable, GroundSpace, PointMap
@@ -53,10 +54,18 @@ def _typed(obj: Any, key: str, kind: str, cls: type) -> Any:
     return value
 
 
-def _reject_booleans(numbers: Any, what: str) -> None:
-    """JSON ``true`` and ``false`` are not numbers, although ``float`` accepts them."""
-    if bool in set(map(type, numbers)):
-        raise ValidationError(f"malformed {what}: expected numbers, got a boolean")
+_KINDS = {bool: "a boolean", str: "a string", list: "a list", dict: "an object", type(None): "null"}
+
+
+def _all_numbers(values: Iterable) -> bool:
+    """Whether every value is a JSON number: ``float`` would also take booleans and numeric strings."""
+    return set(map(type, values)) <= {float, int}
+
+
+def _numbers(values: Collection, what: str) -> None:
+    if not _all_numbers(values):
+        kind = next(type(v) for v in values if type(v) not in (float, int))
+        raise ValidationError(f"malformed {what}: expected numbers, got {_KINDS.get(kind, kind.__name__)}")
 
 
 def _column(items: Any, key: str, kind: str) -> list:
@@ -78,16 +87,16 @@ def space_from_dict(obj: Any) -> GroundSpace:
     raw_points = _require(obj, "points", "space")
     if not isinstance(raw_points, list):
         raise ValidationError("malformed space: 'points' must be a list")
-    points = []
-    for entry in raw_points:
-        pid = _require(entry, "id", "space point")
-        coords = entry.get("coords")
-        if coords is not None:
-            if not isinstance(coords, list):
-                raise ValidationError(f"malformed space point {pid!r}: 'coords' must be a list")
-            _reject_booleans(coords, f"space point {pid!r}")
-        points.append((pid, coords))
-    return GroundSpace(str(space_id), points)
+    ids = _column(raw_points, "id", "space point")
+    coords = [item.get("coords") for item in raw_points]
+    if not set(map(type, coords)) <= {list, type(None)}:
+        pid = next(p for p, c in zip(ids, coords) if not isinstance(c, (list, type(None))))
+        raise ValidationError(f"malformed space point {pid!r}: 'coords' must be a list")
+    if not _all_numbers(chain.from_iterable(filter(None, coords))):
+        for pid, c in zip(ids, coords):
+            if c is not None:
+                _numbers(c, f"space point {pid!r}")
+    return GroundSpace(str(space_id), zip(ids, coords))
 
 
 # --- function tables ------------------------------------------------------
@@ -99,12 +108,8 @@ def function_from_dict(obj: Any, space: GroundSpace) -> FunctionTable:
             f"function addresses space {space_id!r} but was resolved against {space.id!r}"
         )
     values = _typed(obj, "values", "function", dict)
-    _reject_booleans(values.values(), "function")
-    try:
-        parsed = {str(k): float(v) for k, v in values.items()}
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed function: non-numeric value ({exc})") from exc
-    return FunctionTable(space, parsed)
+    _numbers(values.values(), "function")
+    return FunctionTable(space, values)
 
 
 # --- point maps -----------------------------------------------------------
@@ -118,7 +123,9 @@ def map_from_dict(obj: Any, source: GroundSpace, target: GroundSpace) -> PointMa
             f" {source.id!r} -> {target.id!r}"
         )
     assign = _typed(obj, "assign", "map", dict)
-    return PointMap(source, target, {str(k): str(v) for k, v in assign.items()})
+    if not set(map(type, assign.values())) <= {str}:
+        assign = {k: str(v) for k, v in assign.items()}
+    return PointMap(source, target, assign)
 
 
 # --- measures ---------------------------------------------------------------
@@ -184,18 +191,17 @@ def referenced_points(kind: str, obj: Any) -> dict[str, list[str]]:
     refs: dict[str, list[str]] = {}
     if kind == "function":
         values = _typed(obj, "values", "function", dict)
-        refs[_typed(obj, "space", "function", str)] = [str(k) for k in values]
+        refs[_typed(obj, "space", "function", str)] = list(values)
     elif kind == "measure":
         atoms = _require(obj, "atoms", "measure")
-        refs[_typed(obj, "space", "measure", str)] = [
-            str(p) for p in _column(atoms, "point", "measure atom")
-        ]
+        points = _column(atoms, "point", "measure atom")
+        refs[_typed(obj, "space", "measure", str)] = list(map(str, points))
     elif kind == "map":
         assign = _typed(obj, "assign", "map", dict)
         from_id = _typed(obj, "from", "map", str)
         to_id = _typed(obj, "to", "map", str)
-        refs.setdefault(from_id, []).extend(str(k) for k in assign)
-        refs.setdefault(to_id, []).extend(str(v) for v in assign.values())
+        refs.setdefault(from_id, []).extend(assign)
+        refs.setdefault(to_id, []).extend(map(str, assign.values()))
     elif kind == "dense":
         space_id, points = dense_from_dict(obj)
         refs[space_id] = points

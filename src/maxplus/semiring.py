@@ -34,7 +34,10 @@ class MaxPlusValue:
     def __post_init__(self) -> None:
         if self.value is None:
             return
-        v = float(self.value)
+        try:
+            v = float(self.value)
+        except OverflowError:  # an integer too large for a float
+            raise ScalarError(f"max-plus scalar out of float range: {self.value!r}") from None
         if v == -math.inf:
             object.__setattr__(self, "value", None)
             return
@@ -88,7 +91,7 @@ class MaxPlusValue:
                 return NEG_INF
             raise ScalarError(f"not a max-plus scalar: {obj!r}")
         if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-            return cls(float(obj))
+            return cls(obj)
         raise ScalarError(f"not a max-plus scalar: {obj!r}")
 
     def __repr__(self) -> str:
@@ -107,5 +110,5 @@ def as_value(x: Scalar) -> MaxPlusValue:
     if isinstance(x, MaxPlusValue):
         return x
     if isinstance(x, (int, float)):
-        return MaxPlusValue(float(x))
+        return MaxPlusValue(x)
     raise TypeError(f"cannot treat {type(x).__name__} as a max-plus scalar")

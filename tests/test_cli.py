@@ -259,6 +259,7 @@ def test_exit_2_on_non_numeric_coords(tmp_path, files):
 
 MEASURE_X = {"space": "X", "atoms": [{"point": "a", "weight": 0.0}]}
 TABLE_X = {"space": "X", "values": {"a": 1.0}}
+TOO_BIG = 10**400  # a JSON integer beyond the float range
 
 
 def _map_to_y(assign):
@@ -289,10 +290,25 @@ def _map_to_y(assign):
          "'space' must be a string"),
         ("pushforward", {"map": {**_map_to_y({"a": "u"}), "from": 5}, "measure": MEASURE_X},
          "'from' must be a string"),
+        ("integrate", {"measure": MEASURE_X, "function": {"space": "X", "values": {"a": TOO_BIG}}},
+         "out of float range"),
+        ("integrate", {"measure": MEASURE_X, "function": TABLE_X,
+                       "space": {"id": "X", "points": [{"id": "a", "coords": [TOO_BIG]}]}},
+         "out of float range"),
+        ("integrate", {"measure": {"space": "X", "atoms": [{"point": "a", "weight": 0.0},
+                                                           {"point": "b", "weight": -TOO_BIG}]},
+                       "function": {"space": "X", "values": {"a": 1.0, "b": 1.0}}},
+         "out of float range"),
+        ("integrate", {"measure": MEASURE_X, "function": {"space": "X", "values": {"a": "1.5"}}},
+         "expected numbers, got a string"),
+        ("integrate", {"measure": MEASURE_X, "function": TABLE_X,
+                       "space": {"id": "X", "points": [{"id": "a", "coords": ["0.5"]}]}},
+         "expected numbers, got a string"),
     ],
     ids=[
         "values-5", "assign-5", "assign-abc", "assign-list", "assign-list-with-space",
         "weight-false", "value-true", "coords-true", "space-5", "from-5",
+        "value-overflow", "coords-overflow", "weight-overflow", "value-string", "coords-string",
     ],
 )
 def test_exit_2_on_malformed_object(tmp_path, command, inputs, message):

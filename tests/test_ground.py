@@ -1,6 +1,7 @@
 """Ground models: finite spaces, tables, point maps, and grid builders."""
 
 import math
+import re
 
 import pytest
 
@@ -38,6 +39,7 @@ from maxplus import (
 )
 from maxplus.errors import EmptyFiberError
 from maxplus.ground import require_nonempty_fiber
+from maxplus.jsonio import space_from_dict
 
 
 # ---------------------------------------------------------------------------
@@ -60,29 +62,52 @@ def test_space_index_and_ordered(abc_space):
         abc_space.index("zz")
 
 
-def test_space_rejects_duplicate_ids():
-    with pytest.raises(ValidationError):
-        GroundSpace("X", [Point("a"), Point("a")])
+def _space_of_points(pts):
+    return GroundSpace("X", [Point(pid, coords) for pid, coords in pts])
 
 
-def test_space_rejects_mixed_coords():
-    with pytest.raises(ValidationError):
-        GroundSpace("X", [Point("a", (0.0,)), Point("b")])
+def _space_of_pairs(pts):
+    return GroundSpace("X", list(pts))
 
 
-def test_space_rejects_dimension_mismatch():
-    with pytest.raises(ValidationError):
-        GroundSpace("X", [Point("a", (0.0,)), Point("b", (0.0, 1.0))])
+def _space_of_json(pts):
+    entries = [{"id": pid} if c is None else {"id": pid, "coords": list(c)} for pid, c in pts]
+    return space_from_dict({"id": "X", "points": entries})
 
 
-def test_space_rejects_duplicate_coordinates():
-    with pytest.raises(ValidationError):
-        GroundSpace("X", [Point("a", (0.5,)), Point("b", (0.5,))])
+space_shapes = pytest.mark.parametrize(
+    "build", [_space_of_points, _space_of_pairs, _space_of_json], ids=["point", "pair", "json"]
+)
 
 
-def test_space_rejects_nonfinite_coords():
-    with pytest.raises(ValidationError):
-        GroundSpace("X", [Point("a", (math.nan,))])
+@space_shapes
+def test_space_rejects_duplicate_ids(build):
+    with pytest.raises(ValidationError, match="duplicate point id 'a'"):
+        build([("a", None), ("b", None), ("a", None)])
+
+
+@space_shapes
+def test_space_rejects_mixed_coords(build):
+    with pytest.raises(ValidationError, match="either every point carries coordinates or none"):
+        build([("a", (0.0,)), ("b", None)])
+
+
+@space_shapes
+def test_space_rejects_dimension_mismatch(build):
+    with pytest.raises(ValidationError, match=re.escape("mixed coordinate dimensions [1, 2]")):
+        build([("a", (0.0,)), ("b", (0.0, 1.0))])
+
+
+@space_shapes
+def test_space_rejects_duplicate_coordinates(build):
+    with pytest.raises(ValidationError, match="points 'a' and 'c' share coordinates"):
+        build([("a", (0.5,)), ("b", (0.25,)), ("c", (0.5,))])
+
+
+@space_shapes
+def test_space_rejects_nonfinite_coords(build):
+    with pytest.raises(ValidationError, match="coordinates must be finite"):
+        build([("a", (0.0,)), ("b", (math.nan,))])
 
 
 def test_space_rejects_empty():
@@ -99,7 +124,9 @@ def test_coords_requires_metric(abc_space, segment_space):
 def test_distance_is_euclidean(segment_space):
     assert distance(segment_space, "g0", "g4") == 1.0
     assert distance(segment_space, "a0", "g1") == pytest.approx(0.05)
-    sq = GroundSpace("S", [Point("p", (0.0, 0.0)), Point("q", (3.0, 4.0))])
+    pts = (Point("p", (0.0, 0.0)), Point("q", (3.0, 4.0)))
+    sq = GroundSpace("S", pts)
+    assert sq.points == pts
     assert distance(sq, "p", "q") == 5.0
 
 
