@@ -34,7 +34,6 @@ from .jsonio import (
     space_from_dict,
 )
 from .measures import IdempotentMeasure, combine
-from .semiring import as_value
 from .suites import BOUNDED_SUITES, SUITES
 from .weaktop import WeakNeighborhood, approximate_on_dense
 
@@ -141,7 +140,7 @@ def _load(args, **kinds: str) -> list:
 def cmd_integrate(args) -> int:
     mu, phi = _load(args, measure="measure", function="function")
     value = mu.integrate(phi)
-    _emit({"integral": value.to_json()})
+    _emit({"integral": value})
     _info(f"integral of the table against the measure: {value}")
     return 0
 
@@ -156,7 +155,7 @@ def cmd_pushforward(args) -> int:
 
 def cmd_combine(args) -> int:
     mu1, mu2 = _load(args, m1="measure", m2="measure")
-    result = combine(as_value(args.alpha), mu1, as_value(args.beta), mu2)
+    result = combine(args.alpha, mu1, args.beta, mu2)
     _emit(result)
     _info(f"combination on {result.space_id!r}: {len(result)} atoms")
     return 0

@@ -17,7 +17,7 @@ class ValidationError(MaxPlusError):
 
 
 class ScalarError(ValidationError, ValueError):
-    """A number that is not a max-plus scalar: NaN, +inf, or non-numeric."""
+    """Not a max-plus scalar: NaN, +inf, a boolean, a non-number or an int out of float range."""
 
 
 class UnknownPointError(ValidationError):

@@ -163,7 +163,7 @@ def check_fiber_bounds(
     values = phi.values
     lower = min(values[x] for x in pts)
     upper = max(values[x] for x in pts)
-    integral = nu.integrate(phi).as_float()
+    integral = nu.integrate(phi)
     passed = lower <= integral <= upper
     return FiberBoundReport(True, y0, lower, upper, integral, passed)
 

@@ -278,11 +278,14 @@ def constant_table(space: GroundSpace, value: float) -> FunctionTable:
 
 
 def shift(phi: FunctionTable, value: float) -> FunctionTable:
-    """The table phi + value (max-plus scalar multiple of phi)."""
+    """The table phi + value (max-plus scalar multiple of phi); every sum must stay finite."""
     v = float(value)
     if not math.isfinite(v):
         raise ValidationError(f"shift value must be finite, got {value!r}")
-    return FunctionTable._trusted(phi.space, {p: w + v for p, w in phi._values.items()})
+    values = {p: w + v for p, w in phi._values.items()}
+    if not all(map(math.isfinite, values.values())):
+        raise ValidationError(f"shifting a table on space {phi.space_id!r} by {value!r} overflows")
+    return FunctionTable._trusted(phi.space, values)
 
 
 def pointwise_max(phi: FunctionTable, psi: FunctionTable) -> FunctionTable:

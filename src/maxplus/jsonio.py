@@ -10,8 +10,10 @@ Wire formats:
   (weights are numbers or the string ``"-inf"``, which is trimmed away)
 * dense subset ``{"space": "X", "points": ["g0", "g1", ...]}``
 
-Schema problems raise :class:`~maxplus.errors.ValidationError` with the
-offending key in the message.
+Space and point ids must be JSON strings, table values and coordinates
+JSON numbers; nothing is coerced. Schema problems raise
+:class:`~maxplus.errors.ValidationError` with the offending key in the
+message.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Any, Collection, Iterable
 from .errors import ValidationError
 from .ground import FunctionTable, GroundSpace, PointMap
 from .measures import IdempotentMeasure, make_measure
-from .semiring import MaxPlusValue
+from .semiring import weight_from_json
 
 
 def load_json_file(path: str) -> Any:
@@ -54,18 +56,22 @@ def _typed(obj: Any, key: str, kind: str, cls: type) -> Any:
     return value
 
 
-_KINDS = {bool: "a boolean", str: "a string", list: "a list", dict: "an object", type(None): "null"}
+_KINDS = {bool: "a boolean", int: "a number", float: "a number", str: "a string", list: "a list",
+          dict: "an object", type(None): "null"}
+_NUMBERS, _STRINGS = {float, int}, {str}
 
 
 def _all_numbers(values: Iterable) -> bool:
     """Whether every value is a JSON number: ``float`` would also take booleans and numeric strings."""
-    return set(map(type, values)) <= {float, int}
+    return set(map(type, values)) <= _NUMBERS
 
 
-def _numbers(values: Collection, what: str) -> None:
-    if not _all_numbers(values):
-        kind = next(type(v) for v in values if type(v) not in (float, int))
-        raise ValidationError(f"malformed {what}: expected numbers, got {_KINDS.get(kind, kind.__name__)}")
+def _expect(values: Collection, types: set, what: str) -> None:
+    """Every value must be of a JSON type in ``types`` (``_NUMBERS`` or ``_STRINGS``); none is coerced."""
+    if not set(map(type, values)) <= types:
+        kind = next(type(v) for v in values if type(v) not in types)
+        noun = "strings" if types is _STRINGS else "numbers"
+        raise ValidationError(f"malformed {what}: expected {noun}, got {_KINDS.get(kind, kind.__name__)}")
 
 
 def _column(items: Any, key: str, kind: str) -> list:
@@ -83,11 +89,12 @@ def _column(items: Any, key: str, kind: str) -> list:
 # --- spaces ---------------------------------------------------------------
 
 def space_from_dict(obj: Any) -> GroundSpace:
-    space_id = _require(obj, "id", "space")
+    space_id = _typed(obj, "id", "space", str)
     raw_points = _require(obj, "points", "space")
     if not isinstance(raw_points, list):
         raise ValidationError("malformed space: 'points' must be a list")
     ids = _column(raw_points, "id", "space point")
+    _expect(ids, _STRINGS, "space point ids")
     coords = [item.get("coords") for item in raw_points]
     if not set(map(type, coords)) <= {list, type(None)}:
         pid = next(p for p, c in zip(ids, coords) if not isinstance(c, (list, type(None))))
@@ -95,8 +102,8 @@ def space_from_dict(obj: Any) -> GroundSpace:
     if not _all_numbers(chain.from_iterable(filter(None, coords))):
         for pid, c in zip(ids, coords):
             if c is not None:
-                _numbers(c, f"space point {pid!r}")
-    return GroundSpace(str(space_id), zip(ids, coords))
+                _expect(c, _NUMBERS, f"space point {pid!r}")
+    return GroundSpace(space_id, zip(ids, coords))
 
 
 # --- function tables ------------------------------------------------------
@@ -108,7 +115,7 @@ def function_from_dict(obj: Any, space: GroundSpace) -> FunctionTable:
             f"function addresses space {space_id!r} but was resolved against {space.id!r}"
         )
     values = _typed(obj, "values", "function", dict)
-    _numbers(values.values(), "function")
+    _expect(values.values(), _NUMBERS, "function")
     return FunctionTable(space, values)
 
 
@@ -123,8 +130,7 @@ def map_from_dict(obj: Any, source: GroundSpace, target: GroundSpace) -> PointMa
             f" {source.id!r} -> {target.id!r}"
         )
     assign = _typed(obj, "assign", "map", dict)
-    if not set(map(type, assign.values())) <= {str}:
-        assign = {k: str(v) for k, v in assign.items()}
+    _expect(assign.values(), _STRINGS, "map 'assign' values")
     return PointMap(source, target, assign)
 
 
@@ -138,11 +144,9 @@ def measure_from_dict(obj: Any, space: GroundSpace, normalize: bool = False) -> 
         )
     atoms = _require(obj, "atoms", "measure")
     points = _column(atoms, "point", "measure atom")
+    _expect(points, _STRINGS, "measure atom points")
     weights = _column(atoms, "weight", "measure atom")
-    pairs = (
-        (str(p), w if type(w) is float else MaxPlusValue.from_json(w))
-        for p, w in zip(points, weights)
-    )
+    pairs = zip(points, (w if type(w) is float else weight_from_json(w) for w in weights))
     return make_measure(space, pairs, normalize=normalize)
 
 
@@ -171,11 +175,12 @@ def measure_to_json(mu: IdempotentMeasure) -> str:
 # --- dense subsets ---------------------------------------------------------
 
 def dense_from_dict(obj: Any) -> tuple[str, list[str]]:
-    space_id = _require(obj, "space", "dense subset")
+    space_id = _typed(obj, "space", "dense subset", str)
     points = _require(obj, "points", "dense subset")
     if not isinstance(points, list):
         raise ValidationError("malformed dense subset: 'points' must be a list")
-    return str(space_id), [str(p) for p in points]
+    _expect(points, _STRINGS, "dense subset points")
+    return space_id, points
 
 
 # --- space inference for files that only name their space -------------------
@@ -195,13 +200,15 @@ def referenced_points(kind: str, obj: Any) -> dict[str, list[str]]:
     elif kind == "measure":
         atoms = _require(obj, "atoms", "measure")
         points = _column(atoms, "point", "measure atom")
-        refs[_typed(obj, "space", "measure", str)] = list(map(str, points))
+        _expect(points, _STRINGS, "measure atom points")
+        refs[_typed(obj, "space", "measure", str)] = points
     elif kind == "map":
         assign = _typed(obj, "assign", "map", dict)
         from_id = _typed(obj, "from", "map", str)
         to_id = _typed(obj, "to", "map", str)
         refs.setdefault(from_id, []).extend(assign)
-        refs.setdefault(to_id, []).extend(map(str, assign.values()))
+        _expect(assign.values(), _STRINGS, "map 'assign' values")
+        refs.setdefault(to_id, []).extend(assign.values())
     elif kind == "dense":
         space_id, points = dense_from_dict(obj)
         refs[space_id] = points

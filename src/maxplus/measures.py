@@ -27,7 +27,7 @@ from .ground import (
     shift,
 )
 from .rng import trial_rng
-from .semiring import NEG_INF, MaxPlusValue, Scalar, as_value
+from .semiring import scalar
 
 
 class IdempotentMeasure:
@@ -40,7 +40,7 @@ class IdempotentMeasure:
 
     __slots__ = ("_space", "_weights")
 
-    def __init__(self, space: GroundSpace, weights: Mapping[str, Scalar]):
+    def __init__(self, space: GroundSpace, weights: Mapping[str, float]):
         self._space = space
         self._weights = _build(space, weights.items(), normalize=False)
 
@@ -53,7 +53,7 @@ class IdempotentMeasure:
         return obj
 
     @classmethod
-    def from_weights(cls, space: GroundSpace, weights: Mapping[str, Scalar]) -> IdempotentMeasure:
+    def from_weights(cls, space: GroundSpace, weights: Mapping[str, float]) -> IdempotentMeasure:
         """Normalize arbitrary weights (at least one finite) into a measure.
 
         Subtracting the peak weight from every atom is the max-plus analogue
@@ -85,18 +85,20 @@ class IdempotentMeasure:
         """(point id, weight) pairs in space order."""
         return self._weights.items()
 
-    def weight(self, point_id: str) -> MaxPlusValue:
-        """The weight at a point: bottom off the support."""
+    def weight(self, point_id: str) -> float:
+        """The weight at a point: ``-inf`` (bottom) off the support."""
         if point_id not in self._space:
             self._space.index(point_id)
-        w = self._weights.get(point_id)
-        return NEG_INF if w is None else MaxPlusValue(w)
+        return self._weights.get(point_id, -math.inf)
 
-    def integrate(self, phi: FunctionTable) -> MaxPlusValue:
-        """Maslov integral: the peak of ``weight + phi`` over the support."""
+    def integrate(self, phi: FunctionTable) -> float:
+        """Maslov integral: the peak of ``weight + phi`` over the support.
+
+        Never bottom: the peak atom adds exactly 0.0 to a finite value.
+        """
         _require_same_space(phi._space, self._space, "cannot integrate a table against a measure")
         values = phi.values
-        return MaxPlusValue(max(w + values[pid] for pid, w in self._weights.items()))
+        return max(w + values[pid] for pid, w in self._weights.items())
 
     __call__ = integrate
 
@@ -133,7 +135,7 @@ def _integrate_rows(mu: IdempotentMeasure, rows: np.ndarray) -> np.ndarray:
 
 
 def _build(
-    space: GroundSpace, pairs: Iterable[tuple[str, Scalar]], normalize: bool
+    space: GroundSpace, pairs: Iterable[tuple[str, float]], normalize: bool
 ) -> dict[str, float]:
     """The one construction path: (point, weight) pairs to measure weights.
 
@@ -142,7 +144,7 @@ def _build(
     normalizing shift that rounds to ``-inf``. With ``normalize`` the
     weights are shifted so the peak is 0; without it, a peak other than 0
     is rejected. Returns the weights in space order. Plain floats are
-    checked inline; any other weight goes through :func:`as_value`.
+    checked inline; any other weight goes through :func:`scalar`.
     """
     index = space._index
     inf = math.inf
@@ -150,8 +152,8 @@ def _build(
     for pid, w in pairs:
         if pid not in index:
             space.index(pid)  # raises UnknownPointError with context
-        if type(w) is not float or not w < inf:  # NaN and +inf raise in as_value
-            w = as_value(w).as_float()
+        if type(w) is not float or not w < inf:  # NaN and +inf raise in scalar
+            w = scalar(w)
         if w == -inf:
             continue
         prev = merged.get(pid)
@@ -170,9 +172,9 @@ def _build(
 
 
 def combine(
-    alpha: Scalar,
+    alpha: float,
     mu: IdempotentMeasure,
-    beta: Scalar,
+    beta: float,
     nu: IdempotentMeasure,
 ) -> IdempotentMeasure:
     """Max-plus convex combination ``alpha * mu (+) beta * nu``.
@@ -185,8 +187,8 @@ def combine(
     peak is ``max(alpha, beta) == 0``).
     """
     _require_same_space(mu._space, nu._space, "cannot combine measures")
-    av = as_value(alpha).as_float()
-    bv = as_value(beta).as_float()
+    av = scalar(alpha)
+    bv = scalar(beta)
     if max(av, bv) != 0.0:
         raise CoefficientError(f"coefficient constraint violated: max({av!r}, {bv!r}) != 0")
     if av == -math.inf:
@@ -200,7 +202,7 @@ def combine(
 
 def make_measure(
     space: GroundSpace,
-    raw_atoms: Iterable[tuple[str, Scalar]],
+    raw_atoms: Iterable[tuple[str, float]],
     normalize: bool = False,
 ) -> IdempotentMeasure:
     """Build a measure from (point, weight) pairs.
@@ -270,10 +272,6 @@ class AxiomCheckReport:
         }
 
 
-def _as_real(x: float | MaxPlusValue) -> float:
-    return x.as_float() if isinstance(x, MaxPlusValue) else float(x)
-
-
 def check_axioms(
     functional,
     space: GroundSpace,
@@ -312,7 +310,7 @@ def check_axioms(
         phi = FunctionTable._trusted(space, phi_vals)
         psi = FunctionTable._trusted(space, psi_vals)
 
-        got_norm = _as_real(functional(constant_table(space, lam)))
+        got_norm = functional(constant_table(space, lam))
         if got_norm != lam:
             return AxiomCheckReport(name, False, t + 1, {
                 "axiom": "norm",
@@ -322,8 +320,8 @@ def check_axioms(
                 "actual": got_norm,
             })
 
-        base = _as_real(functional(phi))
-        shifted = _as_real(functional(shift(phi, lam)))
+        base = functional(phi)
+        shifted = functional(shift(phi, lam))
         if not abs(shifted - (base + lam)) <= tol:
             return AxiomCheckReport(name, False, t + 1, {
                 "axiom": "homogeneity",
@@ -334,8 +332,8 @@ def check_axioms(
                 "actual": shifted,
             })
 
-        lhs = _as_real(functional(pointwise_max(phi, psi)))
-        rhs = max(base, _as_real(functional(psi)))
+        lhs = functional(pointwise_max(phi, psi))
+        rhs = max(base, functional(psi))
         if lhs != rhs:
             return AxiomCheckReport(name, False, t + 1, {
                 "axiom": "max-additivity",

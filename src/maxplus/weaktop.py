@@ -41,14 +41,14 @@ class WeakNeighborhood:
         object.__setattr__(
             self,
             "_center_values",
-            tuple(self.center.integrate(phi).as_float() for phi in tests),
+            tuple(self.center.integrate(phi) for phi in tests),
         )
 
     def discrepancies(self, nu: IdempotentMeasure) -> tuple[float, ...]:
         """Per-test absolute integral gaps between ``nu`` and the center."""
         _require_same_space(nu._space, self.center._space, "measure off the neighborhood's space")
         return tuple(
-            abs(nu.integrate(phi).as_float() - c)
+            abs(nu.integrate(phi) - c)
             for phi, c in zip(self.tests, self._center_values)
         )
 

@@ -1,9 +1,14 @@
 """Shared fixtures and strategy helpers for the test suite."""
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from maxplus import FunctionTable, GroundSpace, IdempotentMeasure, Point
+
+# Tier-1 passes or fails the same way on every run: hypothesis draws from a
+# fixed seed, keeps no example database and times no example.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 # ---------------------------------------------------------------------------

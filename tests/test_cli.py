@@ -158,6 +158,19 @@ def test_combine_drops_weight_shifted_to_bottom(tmp_path):
     assert out == {"space": "X", "atoms": [{"point": "b", "weight": 0.0}]}
 
 
+def test_integrate_prints_a_number_at_the_float_extremes(tmp_path):
+    # every sum but the peak atom's lands near -1.7e308 or rounds to -inf
+    measure = tmp_path / "measure.json"
+    table = tmp_path / "function.json"
+    measure.write_text(json.dumps({"space": "X", "atoms": [
+        {"point": "a", "weight": 0.0}, {"point": "b", "weight": -1.7e308}, {"point": "c", "weight": -1.0},
+    ]}))
+    table.write_text(json.dumps({"space": "X", "values": {"a": -1.7e308, "b": -1.7e308, "c": -1.7e308}}))
+    r = run_cli("integrate", "--measure", str(measure), "--function", str(table))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout, parse_constant=_reject_constant) == {"integral": -1.7e308}
+
+
 def test_approx_success(files):
     r = run_cli(
         "approx", "--space", files["space"], "--measure", files["mu_offgrid"],
@@ -304,16 +317,37 @@ def _map_to_y(assign):
         ("integrate", {"measure": MEASURE_X, "function": TABLE_X,
                        "space": {"id": "X", "points": [{"id": "a", "coords": ["0.5"]}]}},
          "expected numbers, got a string"),
+        ("integrate", {"measure": {"space": "X", "atoms": [{"point": None, "weight": 0.0}]},
+                       "function": {"space": "X", "values": {"None": 1.5}}},
+         "expected strings, got null"),
+        ("integrate", {"measure": MEASURE_X, "function": TABLE_X,
+                       "space": {"id": None, "points": [{"id": "a"}]}}, "'id' must be a string"),
+        ("integrate", {"measure": MEASURE_X, "function": TABLE_X,
+                       "space": {"id": "X", "points": [{"id": "a"}, {"id": None}, {"id": True}]}},
+         "expected strings, got null"),
+        ("pushforward", {"map": _map_to_y({"a": 1}), "measure": MEASURE_X},
+         "expected strings, got a number"),
+        ("pushforward", {"map": _map_to_y({"a": None}), "measure": MEASURE_X},
+         "expected strings, got null"),
+        ("approx", {"measure": MEASURE_X, "dense": {"space": "X", "points": ["a", 1]},
+                    "tests": [TABLE_X], "eps": "0.1"}, "expected strings, got a number"),
+        ("approx", {"measure": MEASURE_X, "dense": {"space": None, "points": ["a"]},
+                    "tests": [TABLE_X], "eps": "0.1"}, "'space' must be a string"),
     ],
     ids=[
         "values-5", "assign-5", "assign-abc", "assign-list", "assign-list-with-space",
         "weight-false", "value-true", "coords-true", "space-5", "from-5",
         "value-overflow", "coords-overflow", "weight-overflow", "value-string", "coords-string",
+        "point-null", "space-id-null", "point-ids-null-true", "assign-number", "assign-null",
+        "dense-point-number", "dense-space-null",
     ],
 )
 def test_exit_2_on_malformed_object(tmp_path, command, inputs, message):
     args = [command]
     for option, obj in inputs.items():
+        if isinstance(obj, str):  # a plain option value, not a file
+            args.append(f"--{option}={obj}")
+            continue
         path = tmp_path / f"{option}.json"
         path.write_text(json.dumps(obj))
         args += [f"--{option}", str(path)]

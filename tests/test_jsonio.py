@@ -1,12 +1,13 @@
 """JSON wire formats: parsing, validation, round-trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from maxplus import GroundSpace, IdempotentMeasure, NEG_INF, Point, ValidationError
+from maxplus import GroundSpace, IdempotentMeasure, Point, ValidationError
 from maxplus.jsonio import (
     dense_from_dict,
     function_from_dict,
@@ -60,6 +61,8 @@ def test_space_without_coords():
         {"id": "X", "points": "ab"},  # wrong type
         {"id": "X", "points": [{"coords": [0.0]}]},  # point without id
         {"id": "X", "points": [{"id": "a"}, {"id": "a"}]},  # duplicate
+        {"id": None, "points": [{"id": "a"}]},  # space id not a string
+        {"id": "X", "points": [{"id": "a"}, {"id": 1}]},  # point id not a string
         "not even a dict",
     ],
 )
@@ -141,7 +144,7 @@ def test_measure_accepts_minus_inf_weight_string():
     }
     mu = measure_from_dict(obj, space)
     assert mu.support == ("a",)
-    assert mu.weight("b") == NEG_INF
+    assert mu.weight("b") == -math.inf
 
 
 def test_measure_normalize_flag():
@@ -150,7 +153,7 @@ def test_measure_normalize_flag():
     with pytest.raises(ValidationError):
         measure_from_dict(obj, space)
     mu = measure_from_dict(obj, space, normalize=True)
-    assert mu.weight("a").value == 0.0
+    assert mu.weight("a") == 0.0
 
 
 def test_measure_validation():
@@ -202,6 +205,23 @@ def test_dense_from_dict():
     assert sid == "X" and pts == ["a", "c"]
     with pytest.raises(ValidationError):
         dense_from_dict({"space": "X", "points": "ac"})
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [
+        lambda: measure_from_dict({"space": "X", "atoms": [{"point": None, "weight": 0.0}]}, _space()),
+        lambda: map_from_dict({"from": "X", "to": "X", "assign": {"a": "a", "b": 1, "c": "c"}},
+                              _space(), _space()),
+        lambda: dense_from_dict({"space": "X", "points": ["a", True]}),
+        lambda: referenced_points("measure", {"space": "X", "atoms": [{"point": 1, "weight": 0.0}]}),
+        lambda: referenced_points("map", {"from": "X", "to": "Y", "assign": {"a": None}}),
+    ],
+    ids=["measure", "map", "dense", "measure-refs", "map-refs"],
+)
+def test_point_ids_must_be_strings(parse):
+    with pytest.raises(ValidationError, match="expected strings"):
+        parse()
 
 
 # ---------------------------------------------------------------------------

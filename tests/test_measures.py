@@ -9,13 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from maxplus import (
-    NEG_INF,
     UNBOUNDED,
     CoefficientError,
     FunctionTable,
     GroundSpace,
     IdempotentMeasure,
-    MaxPlusValue,
     NoMassError,
     NormAxiomError,
     Point,
@@ -30,6 +28,7 @@ from maxplus import (
     shift,
     sum_functional,
 )
+from maxplus.errors import ScalarError
 from maxplus.measures import _integrate_rows
 from tests.conftest import finite_weights, measures_on, tables_on
 
@@ -52,13 +51,13 @@ def test_measure_requires_mass():
     with pytest.raises(NoMassError):
         IdempotentMeasure(SPACE, {})
     with pytest.raises(NoMassError):
-        IdempotentMeasure(SPACE, {"a": NEG_INF})
+        IdempotentMeasure(SPACE, {"a": -math.inf})
 
 
 def test_measure_drops_bottom_atoms():
-    mu = IdempotentMeasure(SPACE, {"a": 0.0, "b": NEG_INF})
+    mu = IdempotentMeasure(SPACE, {"a": 0.0, "b": -math.inf})
     assert mu.support == ("a",)
-    assert mu.weight("b") == NEG_INF
+    assert mu.weight("b") == -math.inf
 
 
 def test_measure_rejects_unknown_point():
@@ -68,8 +67,8 @@ def test_measure_rejects_unknown_point():
 
 def test_from_weights_normalizes():
     mu = IdempotentMeasure.from_weights(SPACE, {"a": -3.0, "b": -1.0})
-    assert mu.weight("b").value == 0.0
-    assert mu.weight("a").value == -2.0
+    assert mu.weight("b") == 0.0
+    assert mu.weight("a") == -2.0
 
 
 def test_dirac():
@@ -77,7 +76,7 @@ def test_dirac():
     assert mu.support == ("b",)
     assert mu.is_dirac()
     assert not IdempotentMeasure(SPACE, {"a": 0.0, "b": -1.0}).is_dirac()
-    assert mu.weight("b").value == 0.0
+    assert mu.weight("b") == 0.0
 
 
 def test_support_in_space_order():
@@ -87,13 +86,13 @@ def test_support_in_space_order():
 
 def test_make_measure_merges_duplicates():
     mu = make_measure(SPACE, [("a", 0.0), ("a", -2.0), ("b", -1.0)])
-    assert mu.weight("a").value == 0.0
-    assert mu.weight("b").value == -1.0
+    assert mu.weight("a") == 0.0
+    assert mu.weight("b") == -1.0
 
 
 def test_make_measure_can_normalize():
     mu = make_measure(SPACE, [("a", -4.0), ("b", -6.0)], normalize=True)
-    assert mu.weight("a").value == 0.0 and mu.weight("b").value == -2.0
+    assert mu.weight("a") == 0.0 and mu.weight("b") == -2.0
 
 
 # ---------------------------------------------------------------------------
@@ -105,21 +104,21 @@ def test_integrate_oracle():
     # max(0 + 1, -2 + 10, -1 + 0) = 8
     mu = IdempotentMeasure(SPACE, {"a": 0.0, "b": -2.0, "c": -1.0})
     phi = FunctionTable(SPACE, {"a": 1.0, "b": 10.0, "c": 0.0})
-    assert mu.integrate(phi) == MaxPlusValue(8.0)
-    assert mu(phi) == MaxPlusValue(8.0)  # __call__ alias
+    assert mu.integrate(phi) == 8.0
+    assert mu(phi) == 8.0  # __call__ alias
 
 
 def test_integrate_dirac_reads_table():
     mu = IdempotentMeasure.dirac(SPACE, "c")
     phi = FunctionTable(SPACE, {"a": 1.0, "b": 2.0, "c": 7.5})
-    assert mu.integrate(phi) == MaxPlusValue(7.5)
+    assert mu.integrate(phi) == 7.5
 
 
 @given(measures_on(SPACE), tables_on(SPACE))
 def test_integral_attained_on_support(mu, phi):
     # The integral is the max over support, hence attained by some atom.
-    val = mu.integrate(phi).value
-    assert val in [mu.weight(x).value + phi(x) for x in mu.support]
+    val = mu.integrate(phi)
+    assert val in [mu.weight(x) + phi(x) for x in mu.support]
 
 
 @given(measures_on(SPACE), tables_on(SPACE), tables_on(SPACE))
@@ -129,15 +128,15 @@ def test_integral_max_additive_exact(mu, phi, psi):
     from maxplus import pointwise_max
 
     lhs = mu.integrate(pointwise_max(phi, psi))
-    rhs = mu.integrate(phi).oplus(mu.integrate(psi))
+    rhs = max(mu.integrate(phi), mu.integrate(psi))
     assert lhs == rhs
 
 
 @given(measures_on(SPACE), tables_on(SPACE), st.floats(-100, 100))
 def test_integral_shift_homogeneous(mu, phi, lam):
     # I(lam + phi) = lam + I(phi) up to one rounding on each side.
-    lhs = mu.integrate(shift(phi, lam)).value
-    rhs = lam + mu.integrate(phi).value
+    lhs = mu.integrate(shift(phi, lam))
+    rhs = lam + mu.integrate(phi)
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -152,7 +151,7 @@ def test_integral_order_preserving(mu, phi, psi):
 def test_norm_axiom_via_zero_table():
     mu = IdempotentMeasure(SPACE, {"a": -5.0, "b": 0.0})
     zero = FunctionTable(SPACE, {"a": 0.0, "b": 0.0, "c": 0.0})
-    assert mu.integrate(zero) == MaxPlusValue(0.0)
+    assert mu.integrate(zero) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +167,38 @@ def test_combine_oracle():
     assert dict(mix.atoms()) == {"a": -1.0, "b": 0.0}
 
 
+DIRAC_A = IdempotentMeasure.dirac(SPACE, "a")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: IdempotentMeasure(SPACE, {"a": 0.0, "b": bad}),
+        lambda bad: IdempotentMeasure.from_weights(SPACE, {"a": bad, "b": 0.0}),
+        lambda bad: make_measure(SPACE, [("a", 0.0), ("b", bad)]),
+        lambda bad: combine(bad, DIRAC_A, 0.0, DIRAC_A),
+        lambda bad: combine(0.0, DIRAC_A, bad, DIRAC_A),
+    ],
+    ids=["init", "from_weights", "make_measure", "alpha", "beta"],
+)
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (True, "not a max-plus scalar: True"),
+        (False, "not a max-plus scalar: False"),
+        ("-1.0", "not a max-plus scalar: '-1.0'"),
+        (None, "not a max-plus scalar: None"),
+        (math.nan, "must be finite or -inf"),
+        (math.inf, "must be finite or -inf"),
+        (10**400, "out of float range"),
+    ],
+    ids=["true", "false", "string", "none", "nan", "plus-inf", "int-overflow"],
+)
+def test_weights_and_coefficients_share_one_scalar_rule(build, bad, message):
+    with pytest.raises(ScalarError, match=message):
+        build(bad)
+
+
 def test_combine_requires_unit_peak_coefficient():
     da = IdempotentMeasure.dirac(SPACE, "a")
     db = IdempotentMeasure.dirac(SPACE, "b")
@@ -180,9 +211,8 @@ def test_combine_requires_unit_peak_coefficient():
 def test_combine_bottom_coefficient_returns_other():
     da = IdempotentMeasure.dirac(SPACE, "a")
     db = IdempotentMeasure.dirac(SPACE, "b")
-    assert combine(NEG_INF, da, 0.0, db) == db
-    assert combine(0.0, da, NEG_INF, db) == da
-    assert combine(0.0, da, float("-inf"), db) == da
+    assert combine(-math.inf, da, 0.0, db) == db
+    assert combine(0.0, da, -math.inf, db) == da
 
 
 @given(measures_on(SPACE), measures_on(SPACE))
@@ -208,7 +238,7 @@ def test_combine_is_linear_under_integration(mu, nu, phi, alpha):
     # Bit-exact only in the evaluation order of the left side, (alpha + w) + phi:
     # rounding is monotone, so it commutes with max.
     mix = combine(alpha, mu, 0.0, nu)
-    lhs = mix.integrate(phi).value
+    lhs = mix.integrate(phi)
     same_order = max(
         max((alpha + w) + phi(x) for x, w in mu.atoms()),
         max((0.0 + w) + phi(x) for x, w in nu.atoms()),
@@ -216,7 +246,7 @@ def test_combine_is_linear_under_integration(mu, nu, phi, alpha):
     assert lhs == same_order
     # Regrouped as alpha + (w + phi), each side rounds twice, each time by at
     # most half an ulp of a value no larger than |alpha| + |w| + |phi|.
-    rhs = MaxPlusValue(alpha).odot(mu.integrate(phi)).oplus(nu.integrate(phi)).value
+    rhs = max(alpha + mu.integrate(phi), nu.integrate(phi))
     scale = abs(alpha) + max(abs(w) for _, w in [*mu.atoms(), *nu.atoms()])
     scale += max(abs(v) for v in phi.values.values())
     assert abs(lhs - rhs) <= 2 * sys.float_info.epsilon * scale
@@ -255,6 +285,18 @@ def test_invariants_hold_over_the_full_float_range(raw_mu, raw_nu, alpha):
         json.loads(measure_to_json(m), parse_constant=_reject_constant)
 
 
+@given(full_weights, st.lists(full_range, min_size=3, max_size=3))
+@example({"a": 0.0, "b": -sys.float_info.max}, [-sys.float_info.max, -sys.float_info.max, 0.0])
+def test_integral_is_finite_and_at_least_the_peak_value(raw, row):
+    # the peak atom adds exactly 0.0 to a finite value, so the integral has no bottom branch
+    mu = IdempotentMeasure.from_weights(SPACE, raw)
+    phi = FunctionTable(SPACE, dict(zip("abc", row)))
+    got = mu.integrate(phi)
+    peak = next(pid for pid, w in mu.atoms() if w == 0.0)
+    assert type(got) is float and math.isfinite(got)
+    assert got >= phi(peak)
+
+
 # ids out of sorted order: the batch kernel must follow the space's point order
 ROW_IDS = ["c", "a", "d", "b"]
 ROW_SPACE = GroundSpace("R", [Point(p) for p in ROW_IDS])
@@ -284,7 +326,7 @@ def test_integrate_rows_matches_integrate(mu, rows):
     got = _integrate_rows(mu, np.array(rows, dtype=np.float64))
     assert got.shape == (len(rows),)
     for value, row in zip(got.tolist(), rows):
-        want = mu.integrate(FunctionTable(ROW_SPACE, dict(zip(ROW_IDS, row)))).as_float()
+        want = mu.integrate(FunctionTable(ROW_SPACE, dict(zip(ROW_IDS, row))))
         assert value == want
         if want != 0.0:
             assert value.hex() == want.hex()
