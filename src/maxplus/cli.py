@@ -24,13 +24,14 @@ from .errors import DenseSetTooCoarseError, MetricUnavailableError, ValidationEr
 from .functor import lift_toward, preimage_contains, pushforward, support_displacement
 from .ground import GroundSpace
 from .jsonio import (
-    dense_from_dict,
-    function_from_dict,
     load_json_file,
-    map_from_dict,
-    measure_from_dict,
     measure_to_json,
-    referenced_points,
+    merged_refs,
+    read_dense,
+    read_function,
+    read_map,
+    read_measure,
+    read_tests,
     space_from_dict,
 )
 from .measures import IdempotentMeasure, combine
@@ -70,75 +71,32 @@ def _resolve_tol(value: float | None) -> float:
     return tol
 
 
-def _load_registry(space_files) -> dict[str, GroundSpace]:
-    registry: dict[str, GroundSpace] = {}
-    for path in space_files or []:
-        space = space_from_dict(load_json_file(path))
-        if space.id in registry:
-            raise ValidationError(f"space {space.id!r} supplied more than once")
-        registry[space.id] = space
-    return registry
+def _load(args, **readers) -> list:
+    """Read each named input file with its ``jsonio`` reader and build it on its spaces.
 
-
-def _merge_refs(*ref_dicts) -> dict[str, list[str]]:
-    merged: dict[str, list[str]] = {}
-    for refs in ref_dicts:
-        for sid, pts in refs.items():
-            merged.setdefault(sid, []).extend(pts)
-    return merged
-
-
-def _ensure_spaces(registry: dict[str, GroundSpace], refs: dict[str, list[str]]) -> None:
-    for sid, pts in refs.items():
-        if sid not in registry:
-            if not pts:
-                raise ValidationError(
-                    f"cannot infer space {sid!r}: no points referenced; supply --space"
-                )
-            registry[sid] = GroundSpace(sid, sorted(set(pts)))
-
-
-def _test_list(obj) -> list:
-    """The function objects of a tests file: a bare list or ``{"tests": [...]}``."""
-    raw = obj.get("tests") if isinstance(obj, dict) else obj
-    if not isinstance(raw, list) or not raw:
-        raise ValidationError("malformed tests file: expected a nonempty list of function objects")
-    return raw
-
-
-def _refs(kind: str, obj) -> dict[str, list[str]]:
-    if kind == "tests":
-        return _merge_refs(*(referenced_points("function", t) for t in _test_list(obj)))
-    return referenced_points(kind, obj)
-
-
-def _parse(registry: dict[str, GroundSpace], kind: str, obj):
-    """Parse an object whose references :func:`_refs` has checked and registered."""
-    if kind == "dense":
-        return dense_from_dict(obj)
-    if kind == "tests":
-        return [function_from_dict(t, registry[t["space"]]) for t in _test_list(obj)]
-    if kind == "map":
-        return map_from_dict(obj, registry[obj["from"]], registry[obj["to"]])
-    parse = measure_from_dict if kind == "measure" else function_from_dict
-    return parse(obj, registry[obj["space"]])
-
-
-def _load(args, **kinds: str) -> list:
-    """Read each named input file and parse it as its kind: measure, function, map, dense or tests.
-
-    Spaces without a ``--space`` file are inferred from the points all the files reference.
+    A space without a ``--space`` file is inferred as the sorted union of
+    the point ids all the files reference under its id.
     """
-    objs = [(kind, load_json_file(getattr(args, name))) for name, kind in kinds.items()]
-    registry = _load_registry(args.space)
-    _ensure_spaces(registry, _merge_refs(*(_refs(kind, obj) for kind, obj in objs)))
-    return [_parse(registry, kind, obj) for kind, obj in objs]
+    objs = [load_json_file(getattr(args, name)) for name in readers]
+    spaces: dict[str, GroundSpace] = {}
+    for path in args.space or []:
+        space = space_from_dict(load_json_file(path))
+        if space.id in spaces:
+            raise ValidationError(f"space {space.id!r} supplied more than once")
+        spaces[space.id] = space
+    reads = [read(obj) for read, obj in zip(readers.values(), objs)]
+    for sid, pts in merged_refs(reads).items():
+        if sid not in spaces:
+            if not pts:
+                raise ValidationError(f"cannot infer space {sid!r}: no points referenced; supply --space")
+            spaces[sid] = GroundSpace(sid, sorted(set(pts)))
+    return [read.build(*map(spaces.__getitem__, read.space_ids)) for read in reads]
 
 
 # --- handlers ---------------------------------------------------------------
 
 def cmd_integrate(args) -> int:
-    mu, phi = _load(args, measure="measure", function="function")
+    mu, phi = _load(args, measure=read_measure, function=read_function)
     value = mu.integrate(phi)
     _emit({"integral": value})
     _info(f"integral of the table against the measure: {value}")
@@ -146,7 +104,7 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_pushforward(args) -> int:
-    f, mu = _load(args, map="map", measure="measure")
+    f, mu = _load(args, map=read_map, measure=read_measure)
     result = pushforward(f, mu)
     _emit(result)
     _info(f"pushforward onto {result.space_id!r}: {len(result)} atoms")
@@ -154,7 +112,7 @@ def cmd_pushforward(args) -> int:
 
 
 def cmd_combine(args) -> int:
-    mu1, mu2 = _load(args, m1="measure", m2="measure")
+    mu1, mu2 = _load(args, m1=read_measure, m2=read_measure)
     result = combine(args.alpha, mu1, args.beta, mu2)
     _emit(result)
     _info(f"combination on {result.space_id!r}: {len(result)} atoms")
@@ -162,7 +120,7 @@ def cmd_combine(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    mu, (dense_sid, dense_pts), tests = _load(args, measure="measure", dense="dense", tests="tests")
+    mu, (dense_sid, dense_pts), tests = _load(args, measure=read_measure, dense=read_dense, tests=read_tests)
     if dense_sid != mu.space_id:
         raise ValidationError(
             f"dense subset addresses space {dense_sid!r} but the measure"
@@ -176,7 +134,7 @@ def cmd_approx(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    f, base, target = _load(args, map="map", base="measure", target="measure")
+    f, base, target = _load(args, map=read_map, base=read_measure, target=read_measure)
     lifted = lift_toward(f, base, target)
     _emit(lifted)
     try:
@@ -188,7 +146,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_preimage_check(args) -> int:
-    f, nu, mu = _load(args, map="map", nu="measure", mu="measure")
+    f, nu, mu = _load(args, map=read_map, nu=read_measure, mu=read_measure)
     ok = preimage_contains(f, nu, mu, args.tol)
     _emit({"contains": ok, "tolerance": args.tol})
     _info(

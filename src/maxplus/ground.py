@@ -47,7 +47,9 @@ class GroundSpace:
     __slots__ = ("_id", "_ids", "_index", "_coords")
 
     def __init__(self, space_id: str, points: Iterable[PointLike]):
-        self._id = str(space_id)
+        if type(space_id) is not str:
+            raise ValidationError(f"space id must be a string, got {space_id!r}")
+        self._id = space_id
         ids, rows = _split(points)
         coords = None if rows is None else _coord_rows(rows)
         if not ids:
@@ -130,28 +132,30 @@ def _split(points: Iterable[PointLike]) -> tuple[list[str], list | None]:
     """The ids and the raw coordinates of the entries; ``None`` for no coordinates at all.
 
     Raw coordinates are ``None`` for an entry without them. Bare ids and
-    ``(id, coords)`` pairs are split a column at a time.
+    ``(id, coords)`` pairs are split a column at a time. Every id must be
+    a string; none is coerced.
     """
     entries = list(points)
     kinds = set(map(type, entries))
     if kinds <= {str}:
         return entries, None
     if kinds == {tuple} and set(map(len, entries)) == {2}:
-        raw_ids, rows = zip(*entries)
-        ids = list(map(str, raw_ids))
+        ids, rows = zip(*entries)
     else:
         ids, rows = [], []
         for entry in entries:
-            if isinstance(entry, str):
-                pid, coords = entry, None
-            elif isinstance(entry, Point):
+            if isinstance(entry, Point):
                 pid, coords = entry.id, entry.coords
-            else:
+            elif isinstance(entry, tuple) and len(entry) == 2:
                 pid, coords = entry
-                pid = str(pid)
+            else:  # a bare id, checked with the others below
+                pid, coords = entry, None
             ids.append(pid)
             rows.append(coords)
-    return ids, None if rows.count(None) == len(rows) else list(rows)
+    if not set(map(type, ids)) <= {str}:
+        bad = next(pid for pid in ids if type(pid) is not str)
+        raise ValidationError(f"point ids must be strings, got {bad!r}")
+    return list(ids), None if rows.count(None) == len(rows) else list(rows)
 
 
 def _coord_rows(rows: list) -> tuple:

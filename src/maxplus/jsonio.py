@@ -1,4 +1,4 @@
-"""JSON schemas for spaces, tables, maps, measures, and dense subsets.
+"""JSON schemas for spaces, tables, maps, measures, dense subsets and tests files.
 
 Wire formats:
 
@@ -9,11 +9,18 @@ Wire formats:
 * measure      ``{"space": "X", "atoms": [{"point": "a", "weight": 0.0}, ...]}``
   (weights are numbers or the string ``"-inf"``, which is trimmed away)
 * dense subset ``{"space": "X", "points": ["g0", "g1", ...]}``
+* tests file   ``[function, ...]`` or ``{"tests": [function, ...]}``
+  (a nonempty list of function objects)
 
 Space and point ids must be JSON strings, table values and coordinates
 JSON numbers; nothing is coerced. Schema problems raise
 :class:`~maxplus.errors.ValidationError` with the offending key in the
 message.
+
+Every kind but the space has one reader, ``read_<kind>``, which runs each
+check that needs no space once and returns a :class:`Read`: the space ids
+and point ids the object references, and the step that builds it on the
+resolved spaces. ``<kind>_from_dict`` is the reader plus that step.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Any, Collection, Iterable
+from typing import Any, Callable, Collection, Iterable, NamedTuple
 
 from .errors import ValidationError
 from .ground import FunctionTable, GroundSpace, PointMap
@@ -35,7 +42,8 @@ def load_json_file(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path!r}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, an integer too long to read
+    # bad JSON, bytes that are not UTF-8, an integer too long to read, nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"invalid JSON in {path!r}: {exc}") from exc
 
 
@@ -86,6 +94,39 @@ def _column(items: Any, key: str, kind: str) -> list:
         raise
 
 
+class Read(NamedTuple):
+    """A wire object that has passed every check needing no space.
+
+    ``refs`` maps each space id the object names to the point ids it
+    mentions there, both sides of a self-map under one key. ``build``
+    makes the object from the resolved spaces, one per entry of
+    ``space_ids`` and in that order.
+    """
+
+    kind: str
+    space_ids: tuple[str, ...]
+    refs: dict[str, list[str]]
+    build: Callable[..., Any]
+
+    def on(self, *spaces: GroundSpace) -> Any:
+        """``build`` on ``spaces``, which must be the spaces ``space_ids`` names, in order."""
+        ids = tuple(space.id for space in spaces)
+        if ids != self.space_ids:
+            said, got = (" -> ".join(map(repr, t)) for t in (self.space_ids, ids))
+            noun = "space " if len(ids) == 1 else ""
+            raise ValidationError(f"{self.kind} addresses {noun}{said} but was resolved against {got}")
+        return self.build(*spaces)
+
+
+def merged_refs(reads: Iterable[Read]) -> dict[str, list[str]]:
+    """The refs of several objects under one dict, point ids concatenated in order."""
+    refs: dict[str, list[str]] = {}
+    for read in reads:
+        for space_id, point_ids in read.refs.items():
+            refs.setdefault(space_id, []).extend(point_ids)
+    return refs
+
+
 # --- spaces ---------------------------------------------------------------
 
 def space_from_dict(obj: Any) -> GroundSpace:
@@ -106,48 +147,66 @@ def space_from_dict(obj: Any) -> GroundSpace:
     return GroundSpace(space_id, zip(ids, coords))
 
 
-# --- function tables ------------------------------------------------------
+# --- function tables and tests files ---------------------------------------
+
+def read_function(obj: Any) -> Read:
+    values = _typed(obj, "values", "function", dict)
+    space_id = _typed(obj, "space", "function", str)
+    _expect(values.values(), _NUMBERS, "function")
+    return Read("function", (space_id,), {space_id: list(values)},
+                lambda space: FunctionTable(space, values))
+
 
 def function_from_dict(obj: Any, space: GroundSpace) -> FunctionTable:
-    space_id = _require(obj, "space", "function")
-    if space_id != space.id:
-        raise ValidationError(
-            f"function addresses space {space_id!r} but was resolved against {space.id!r}"
-        )
-    values = _typed(obj, "values", "function", dict)
-    _expect(values.values(), _NUMBERS, "function")
-    return FunctionTable(space, values)
+    return read_function(obj).on(space)
+
+
+def read_tests(obj: Any) -> Read:
+    """A tests file; ``build`` returns its function tables as a list."""
+    raw = obj.get("tests") if isinstance(obj, dict) else obj
+    if not isinstance(raw, list) or not raw:
+        raise ValidationError("malformed tests file: expected a nonempty list of function objects")
+    reads = [read_function(t) for t in raw]
+    return Read("tests", tuple(r.space_ids[0] for r in reads), merged_refs(reads),
+                lambda *spaces: [r.build(space) for r, space in zip(reads, spaces)])
 
 
 # --- point maps -----------------------------------------------------------
 
-def map_from_dict(obj: Any, source: GroundSpace, target: GroundSpace) -> PointMap:
-    from_id = _require(obj, "from", "map")
-    to_id = _require(obj, "to", "map")
-    if from_id != source.id or to_id != target.id:
-        raise ValidationError(
-            f"map addresses {from_id!r} -> {to_id!r} but was resolved against"
-            f" {source.id!r} -> {target.id!r}"
-        )
+def read_map(obj: Any) -> Read:
     assign = _typed(obj, "assign", "map", dict)
+    from_id = _typed(obj, "from", "map", str)
+    to_id = _typed(obj, "to", "map", str)
     _expect(assign.values(), _STRINGS, "map 'assign' values")
-    return PointMap(source, target, assign)
+    refs = {from_id: list(assign)}
+    refs.setdefault(to_id, []).extend(assign.values())
+    return Read("map", (from_id, to_id), refs,
+                lambda source, target: PointMap(source, target, assign))
+
+
+def map_from_dict(obj: Any, source: GroundSpace, target: GroundSpace) -> PointMap:
+    return read_map(obj).on(source, target)
 
 
 # --- measures ---------------------------------------------------------------
 
-def measure_from_dict(obj: Any, space: GroundSpace, normalize: bool = False) -> IdempotentMeasure:
-    space_id = _require(obj, "space", "measure")
-    if space_id != space.id:
-        raise ValidationError(
-            f"measure addresses space {space_id!r} but was resolved against {space.id!r}"
-        )
+def read_measure(obj: Any) -> Read:
+    """A measure; its weights are read when it is built, on its space."""
     atoms = _require(obj, "atoms", "measure")
     points = _column(atoms, "point", "measure atom")
     _expect(points, _STRINGS, "measure atom points")
+    space_id = _typed(obj, "space", "measure", str)
     weights = _column(atoms, "weight", "measure atom")
-    pairs = zip(points, (w if type(w) is float else weight_from_json(w) for w in weights))
-    return make_measure(space, pairs, normalize=normalize)
+
+    def build(space: GroundSpace) -> IdempotentMeasure:
+        pairs = zip(points, (w if type(w) is float else weight_from_json(w) for w in weights))
+        return make_measure(space, pairs)
+
+    return Read("measure", (space_id,), {space_id: points}, build)
+
+
+def measure_from_dict(obj: Any, space: GroundSpace) -> IdempotentMeasure:
+    return read_measure(obj).on(space)
 
 
 def measure_to_dict(mu: IdempotentMeasure) -> dict:
@@ -174,44 +233,15 @@ def measure_to_json(mu: IdempotentMeasure) -> str:
 
 # --- dense subsets ---------------------------------------------------------
 
-def dense_from_dict(obj: Any) -> tuple[str, list[str]]:
+def read_dense(obj: Any) -> Read:
+    """A dense subset; ``build`` returns its space id and its point ids."""
     space_id = _typed(obj, "space", "dense subset", str)
     points = _require(obj, "points", "dense subset")
     if not isinstance(points, list):
         raise ValidationError("malformed dense subset: 'points' must be a list")
     _expect(points, _STRINGS, "dense subset points")
-    return space_id, points
+    return Read("dense subset", (space_id,), {space_id: points}, lambda *_: (space_id, points))
 
 
-# --- space inference for files that only name their space -------------------
-
-def referenced_points(kind: str, obj: Any) -> dict[str, list[str]]:
-    """Point ids each space id must contain for the object to make sense.
-
-    Used to infer coordinate-less spaces when no space file is supplied:
-    the inferred space is the sorted union of every id referenced under
-    that space id. Checks the shape the parsers need, space ids included,
-    so every referenced space id is a string.
-    """
-    refs: dict[str, list[str]] = {}
-    if kind == "function":
-        values = _typed(obj, "values", "function", dict)
-        refs[_typed(obj, "space", "function", str)] = list(values)
-    elif kind == "measure":
-        atoms = _require(obj, "atoms", "measure")
-        points = _column(atoms, "point", "measure atom")
-        _expect(points, _STRINGS, "measure atom points")
-        refs[_typed(obj, "space", "measure", str)] = points
-    elif kind == "map":
-        assign = _typed(obj, "assign", "map", dict)
-        from_id = _typed(obj, "from", "map", str)
-        to_id = _typed(obj, "to", "map", str)
-        refs.setdefault(from_id, []).extend(assign)
-        _expect(assign.values(), _STRINGS, "map 'assign' values")
-        refs.setdefault(to_id, []).extend(assign.values())
-    elif kind == "dense":
-        space_id, points = dense_from_dict(obj)
-        refs[space_id] = points
-    else:
-        raise ValueError(f"unknown schema kind {kind!r}")
-    return refs
+def dense_from_dict(obj: Any) -> tuple[str, list[str]]:
+    return read_dense(obj).build()

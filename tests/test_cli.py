@@ -358,8 +358,9 @@ def test_exit_2_on_malformed_object(tmp_path, command, inputs, message):
 
 @pytest.mark.parametrize(
     "content",
-    [b"\xff\xfe", b'{"space": "X", "atoms": [{"point": "a", "weight": ' + b"1" * 5000 + b"}]}"],
-    ids=["not-utf8", "integer-too-long"],
+    [b"\xff\xfe", b'{"space": "X", "atoms": [{"point": "a", "weight": ' + b"1" * 5000 + b"}]}",
+     b"[" * 100000 + b"]" * 100000],
+    ids=["not-utf8", "integer-too-long", "nested-too-deep"],
 )
 def test_exit_2_on_unreadable_json(tmp_path, files, content):
     bad = tmp_path / "measure.json"
@@ -460,6 +461,16 @@ def test_spaces_inferred_without_files(files):
     # in the measure/map payloads
     r = run_cli("pushforward", "--map", files["map"], "--measure", files["measure"])
     assert r.returncode == 0
+
+
+def test_self_map_values_join_the_inferred_space(tmp_path, files):
+    # "c" appears only as a value of a self-map, so the space inferred for
+    # "X" holds it and the map, defined on "a" and "b" alone, is not total
+    selfmap = tmp_path / "selfmap.json"
+    selfmap.write_text(json.dumps({"from": "X", "to": "X", "assign": {"a": "c", "b": "a"}}))
+    r = run_cli("pushforward", "--map", str(selfmap), "--measure", files["measure"])
+    assert r.returncode == 2
+    assert "map from 'X' is not total: missing ['c']" in r.stderr
 
 
 def test_lift_without_space_file_falls_back_to_earliest(files):

@@ -115,6 +115,22 @@ def test_space_rejects_empty():
         GroundSpace("X", [])
 
 
+@pytest.mark.parametrize(
+    "space_id, points, message",
+    [
+        (None, [("1", (0.0,)), ("b", (1.0,))], "space id must be a string, got None"),
+        ("X", [(1, (0.0,)), (True, (1.0,))], "point ids must be strings, got 1"),
+        ("X", [Point("a"), Point(None)], "point ids must be strings, got None"),
+        ("Y", [None, "a"], "point ids must be strings, got None"),
+        ("Y", ["a", 3], "point ids must be strings, got 3"),
+    ],
+    ids=["space-id-none", "pair-ids", "point-id-none", "entry-none", "entry-number"],
+)
+def test_space_rejects_ids_that_are_not_strings(space_id, points, message):
+    with pytest.raises(ValidationError, match=message):
+        GroundSpace(space_id, points)
+
+
 def test_coords_requires_metric(abc_space, segment_space):
     assert segment_space.coords("g2") == (0.5,)
     with pytest.raises(MetricUnavailableError):

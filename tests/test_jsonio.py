@@ -16,7 +16,11 @@ from maxplus.jsonio import (
     measure_from_dict,
     measure_to_dict,
     measure_to_json,
-    referenced_points,
+    read_dense,
+    read_function,
+    read_map,
+    read_measure,
+    read_tests,
     space_from_dict,
 )
 
@@ -87,7 +91,7 @@ def test_function_round_trip():
 
 def test_function_space_mismatch():
     space = _space()
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="function addresses space 'Y' but was resolved against 'X'"):
         function_from_dict({"space": "Y", "values": {"a": 0.0}}, space)
 
 
@@ -115,10 +119,12 @@ def test_map_round_trip():
 def test_map_endpoint_mismatch():
     source = _space()
     target = space_from_dict({"id": "Y", "points": [{"id": "u"}]})
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="map addresses 'Z' -> 'Y' but was resolved against 'X' -> 'Y'"):
         map_from_dict({"from": "Z", "to": "Y", "assign": {}}, source, target)
     with pytest.raises(ValidationError):
         map_from_dict({"from": "X", "to": "Z", "assign": {}}, source, target)
+    with pytest.raises(ValidationError):  # the right spaces, swapped
+        map_from_dict({"from": "X", "to": "Y", "assign": {}}, target, source)
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +153,10 @@ def test_measure_accepts_minus_inf_weight_string():
     assert mu.weight("b") == -math.inf
 
 
-def test_measure_normalize_flag():
-    space = _space()
+def test_measure_must_be_normalized():
     obj = {"space": "X", "atoms": [{"point": "a", "weight": -3.0}]}
-    with pytest.raises(ValidationError):
-        measure_from_dict(obj, space)
-    mu = measure_from_dict(obj, space, normalize=True)
-    assert mu.weight("a") == 0.0
+    with pytest.raises(ValidationError, match="norm axiom"):
+        measure_from_dict(obj, _space())
 
 
 def test_measure_validation():
@@ -168,7 +171,7 @@ def test_measure_validation():
         with pytest.raises(ValidationError):
             measure_from_dict({"space": "X", "atoms": atoms}, space)
         with pytest.raises(ValidationError):
-            referenced_points("measure", {"space": "X", "atoms": atoms})
+            read_measure({"space": "X", "atoms": atoms})
 
 
 tricky_ids = st.text(
@@ -214,8 +217,8 @@ def test_dense_from_dict():
         lambda: map_from_dict({"from": "X", "to": "X", "assign": {"a": "a", "b": 1, "c": "c"}},
                               _space(), _space()),
         lambda: dense_from_dict({"space": "X", "points": ["a", True]}),
-        lambda: referenced_points("measure", {"space": "X", "atoms": [{"point": 1, "weight": 0.0}]}),
-        lambda: referenced_points("map", {"from": "X", "to": "Y", "assign": {"a": None}}),
+        lambda: read_measure({"space": "X", "atoms": [{"point": 1, "weight": 0.0}]}),
+        lambda: read_map({"from": "X", "to": "Y", "assign": {"a": None}}),
     ],
     ids=["measure", "map", "dense", "measure-refs", "map-refs"],
 )
@@ -225,7 +228,7 @@ def test_point_ids_must_be_strings(parse):
 
 
 # ---------------------------------------------------------------------------
-# File loading and reference scanning
+# File loading and the point ids each reader returns
 # ---------------------------------------------------------------------------
 
 
@@ -241,20 +244,28 @@ def test_load_json_file(tmp_path):
         load_json_file(str(bad))
 
 
-def test_referenced_points_by_kind():
+def test_reader_refs_by_kind():
     fn = {"space": "X", "values": {"a": 1.0, "b": 2.0}}
-    assert referenced_points("function", fn) == {"X": ["a", "b"]}
+    assert read_function(fn).refs == {"X": ["a", "b"]}
     ms = {"space": "X", "atoms": [{"point": "c", "weight": 0.0}]}
-    assert referenced_points("measure", ms) == {"X": ["c"]}
+    assert read_measure(ms).refs == {"X": ["c"]}
     mp = {"from": "X", "to": "Y", "assign": {"a": "u"}}
-    assert referenced_points("map", mp) == {"X": ["a"], "Y": ["u"]}
+    assert read_map(mp).refs == {"X": ["a"], "Y": ["u"]}
     dn = {"space": "X", "points": ["a", "b"]}
-    assert referenced_points("dense", dn) == {"X": ["a", "b"]}
+    assert read_dense(dn).refs == {"X": ["a", "b"]}
 
 
-def test_referenced_points_merges_endomap_spaces():
+def test_read_tests_takes_a_list_or_an_object():
+    tests = [{"space": "X", "values": {"a": 1.0}}, {"space": "X", "values": {"b": 2.0}}]
+    assert read_tests(tests).refs == read_tests({"tests": tests}).refs == {"X": ["a", "b"]}
+    for broken in ([], {"tests": []}, {"tests": 5}, 5):
+        with pytest.raises(ValidationError, match="malformed tests file"):
+            read_tests(broken)
+
+
+def test_reader_refs_merge_endomap_spaces():
     # a self-map references its space under one key with both sides merged
     mp = {"from": "X", "to": "X", "assign": {"a": "b", "b": "a"}}
-    refs = referenced_points("map", mp)
+    refs = read_map(mp).refs
     assert set(refs) == {"X"}
     assert set(refs["X"]) == {"a", "b"}
