@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import LiftImpossibleError
 from .ground import (
     FunctionTable,
@@ -26,7 +28,7 @@ from .ground import (
     fiber_points,
     require_nonempty_fiber,
 )
-from .measures import IdempotentMeasure, make_measure, measure_equal
+from .measures import IdempotentMeasure, _merge, make_measure, measure_equal
 from .rng import rand_int, trial_rng
 
 
@@ -53,8 +55,7 @@ def pushforward(f: PointMap, mu: IdempotentMeasure) -> IdempotentMeasure:
     is normalized without any arithmetic on the weights.
     """
     _require_source_measure(f, mu)
-    assign = f._assign
-    return make_measure(f._target, ((assign[x], w) for x, w in mu._weights.items()))
+    return IdempotentMeasure._trusted(f._target, *_merge(f._target, f._tpos[mu._idx], mu._w))
 
 
 def support_image_check(f: PointMap, mu: IdempotentMeasure) -> bool:
@@ -125,7 +126,7 @@ def _fiber_extreme(f: PointMap, phi: FunctionTable, pick) -> FunctionTable:
     values = phi.values
     return FunctionTable._trusted(
         f._target,
-        {y: pick(values[x] for x in require_nonempty_fiber(f, y)) for y in f._target.point_ids},
+        np.array([pick(values[x] for x in require_nonempty_fiber(f, y)) for y in f._target.point_ids]),
     )
 
 
@@ -186,7 +187,7 @@ def lift_toward(
     source = f._source
     if not source.has_coords:
         return make_measure(source, ((_lift_fiber(f, y)[0], w) for y, w in target.atoms()))
-    anchors = [source.coords(s) for s in base.support]
+    anchors = source._coords_at(base._idx.tolist())
 
     def gap(x: str) -> float:
         return _distance_to_set(anchors, source.coords(x))
@@ -203,5 +204,5 @@ def support_displacement(base: IdempotentMeasure, other: IdempotentMeasure) -> f
     """
     _require_same_space(base._space, other._space, "cannot measure displacement across spaces")
     space = base._space
-    anchors = [space.coords(s) for s in base.support]
-    return max(_distance_to_set(anchors, space.coords(x)) for x in other.support)
+    anchors = space._coords_at(base._idx.tolist())
+    return max(_distance_to_set(anchors, c) for c in space._coords_at(other._idx.tolist()))

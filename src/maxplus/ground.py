@@ -2,9 +2,10 @@
 
 A ``GroundSpace`` is an ordered finite point set, optionally embedded in
 Euclidean space; a ``FunctionTable`` is a total real-valued table on a
-space (totality stands in for continuity on a finite discrete model);
-a ``PointMap`` is a total point-to-point map between spaces. All three
-are immutable after construction.
+space (totality stands in for continuity on a finite discrete model),
+stored as one float64 vector in space order; a ``PointMap`` is a total
+point-to-point map between spaces. All three are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     EmptyFiberError,
@@ -120,6 +123,12 @@ class GroundSpace:
         except KeyError:
             raise UnknownPointError(point_id, self._id) from None
 
+    def _coords_at(self, positions: Iterable[int]) -> list[tuple[float, ...]]:
+        """The coordinates of the points at the given positions."""
+        if self._coords is None:
+            raise MetricUnavailableError(f"metric unavailable: space {self._id!r} has no coordinates")
+        return list(map(self._coords.__getitem__, positions))
+
     def ordered(self, point_ids: Iterable[str]) -> list[str]:
         """Sort the given ids by their position in the space (validates membership)."""
         return sorted(point_ids, key=self.index)
@@ -214,34 +223,50 @@ def _nearest(points: Sequence[Sequence[float]], c: Sequence[float]) -> int:
     return ds.index(min(ds))
 
 
+def _listed(keys: Iterable) -> list:
+    """The keys in sorted order; keys of types that do not compare go by type name, then repr."""
+    try:
+        return sorted(keys)
+    except TypeError:
+        return sorted(keys, key=lambda k: (type(k).__name__, repr(k)))
+
+
+def _not_total(ids, keys) -> str:
+    return f"missing {_listed(ids - keys)}, extraneous {_listed(keys - ids)}"
+
+
 class FunctionTable:
-    """Total real-valued function on a ground space."""
+    """Total real-valued function on a ground space: a float64 vector in space order."""
+
+    __slots__ = ("_space", "_v")
 
     def __init__(self, space: GroundSpace, values: Mapping[str, float]):
         ids = space._index.keys()
         if values.keys() != ids:
             raise ValidationError(
-                f"function table on space {space.id!r} is not total:"
-                f" missing {sorted(ids - values.keys())}, extraneous {sorted(values.keys() - ids)}"
+                f"function table on space {space.id!r} is not total: {_not_total(ids, values.keys())}"
             )
         where = f"function table on space {space.id!r}"
-        try:
-            vals = {p: float(values[p]) for p in space._ids}
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{where} has a non-numeric value ({exc})") from None
-        except OverflowError:  # an integer too large for a float
-            raise ValidationError(f"{where} has a value out of float range") from None
-        if not all(map(math.isfinite, vals.values())):
+        column = [values[p] for p in space._ids]
+        if not set(map(type, column)) <= {float}:
+            try:
+                column = [float(v) for v in column]
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{where} has a non-numeric value ({exc})") from None
+            except OverflowError:  # an integer too large for a float
+                raise ValidationError(f"{where} has a value out of float range") from None
+        v = np.array(column, np.float64)
+        if not np.isfinite(v).all():
             raise ValidationError(f"{where} has non-finite values")
         self._space = space
-        self._values = vals
+        self._v = v
 
     @classmethod
-    def _trusted(cls, space: GroundSpace, values: dict[str, float]) -> FunctionTable:
-        # internal fast path: caller guarantees totality and finiteness
+    def _trusted(cls, space: GroundSpace, v: np.ndarray) -> FunctionTable:
+        # internal fast path: caller passes finite float64 values, one per point in space order
         obj = cls.__new__(cls)
         obj._space = space
-        obj._values = values
+        obj._v = v
         return obj
 
     @property
@@ -254,23 +279,23 @@ class FunctionTable:
 
     @property
     def values(self) -> Mapping[str, float]:
-        return MappingProxyType(self._values)
+        return MappingProxyType(dict(zip(self._space._ids, self._v.tolist())))
 
     def __call__(self, point_id: str) -> float:
         try:
-            return self._values[point_id]
+            return self._v.item(self._space._index[point_id])
         except KeyError:
             raise UnknownPointError(point_id, self.space_id) from None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FunctionTable):
             return NotImplemented
-        return _same_space(self._space, other._space) and self._values == other._values
+        return _same_space(self._space, other._space) and self._v.tolist() == other._v.tolist()
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"FunctionTable({self.space_id!r}, {len(self._values)} values)"
+        return f"FunctionTable({self.space_id!r}, {len(self._v)} values)"
 
 
 def constant_table(space: GroundSpace, value: float) -> FunctionTable:
@@ -278,7 +303,7 @@ def constant_table(space: GroundSpace, value: float) -> FunctionTable:
     v = float(value)
     if not math.isfinite(v):
         raise ValidationError(f"constant table value must be finite, got {value!r}")
-    return FunctionTable._trusted(space, {p: v for p in space.point_ids})
+    return FunctionTable._trusted(space, np.full(len(space), v))
 
 
 def shift(phi: FunctionTable, value: float) -> FunctionTable:
@@ -286,8 +311,9 @@ def shift(phi: FunctionTable, value: float) -> FunctionTable:
     v = float(value)
     if not math.isfinite(v):
         raise ValidationError(f"shift value must be finite, got {value!r}")
-    values = {p: w + v for p, w in phi._values.items()}
-    if not all(map(math.isfinite, values.values())):
+    with np.errstate(over="ignore"):
+        values = phi._v + v
+    if not np.isfinite(values).all():
         raise ValidationError(f"shifting a table on space {phi.space_id!r} by {value!r} overflows")
     return FunctionTable._trusted(phi.space, values)
 
@@ -295,35 +321,44 @@ def shift(phi: FunctionTable, value: float) -> FunctionTable:
 def pointwise_max(phi: FunctionTable, psi: FunctionTable) -> FunctionTable:
     """The pointwise maximum of two tables on the same space."""
     _require_same_space(phi._space, psi._space, "pointwise max across spaces")
-    pv, sv = phi._values, psi._values
-    return FunctionTable._trusted(
-        phi.space, {p: v if v >= sv[p] else sv[p] for p, v in pv.items()}
-    )
+    pv, sv = phi._v, psi._v
+    return FunctionTable._trusted(phi.space, np.where(pv >= sv, pv, sv))  # ties keep phi's value
 
 
 class PointMap:
-    """Total map between the points of two ground spaces."""
+    """Total map between the points of two ground spaces.
+
+    It keeps the assignment and ``_tpos``, the target position of every
+    source point in source order, which pullback and pushforward gather
+    through; the fibers are built when first asked for.
+    """
 
     def __init__(self, source: GroundSpace, target: GroundSpace, assign: Mapping[str, str]):
         ids = source._index.keys()
         if assign.keys() != ids:
-            raise ValidationError(
-                f"map from {source.id!r} is not total: missing {sorted(ids - assign.keys())},"
-                f" extraneous {sorted(assign.keys() - ids)}"
-            )
+            raise ValidationError(f"map from {source.id!r} is not total: {_not_total(ids, assign.keys())}")
         assigned = {x: assign[x] for x in source._ids}
-        fibers: dict[str, list[str]] = {t: [] for t in target._ids}
         try:
-            for x, y in assigned.items():
-                fibers[y].append(x)
+            tpos = list(map(target._index.__getitem__, assigned.values()))
         except KeyError:
-            y = next(y for y in assigned.values() if y not in fibers)
+            y = next(y for y in assigned.values() if y not in target._index)
             raise UnknownPointError(y, target.id) from None
         self._source = source
         self._target = target
         self._assign = assigned
-        self._fibers = {y: tuple(xs) for y, xs in fibers.items()}
-        self._image = frozenset(y for y, xs in self._fibers.items() if xs)
+        self._tpos = np.array(tpos, np.intp)
+        self._image = frozenset(assigned.values())
+        self._fiber_cache: dict[str, tuple[str, ...]] | None = None
+
+    @property
+    def _fibers(self) -> dict[str, tuple[str, ...]]:
+        """Each target point's preimage in source order, built on first use."""
+        if self._fiber_cache is None:
+            fibers: list[list[str]] = [[] for _ in self._target._ids]
+            for x, t in zip(self._source._ids, self._tpos.tolist()):
+                fibers[t].append(x)
+            self._fiber_cache = dict(zip(self._target._ids, map(tuple, fibers)))
+        return self._fiber_cache
 
     @property
     def source(self) -> GroundSpace:
@@ -403,8 +438,7 @@ def identity_map(space: GroundSpace) -> PointMap:
 def pullback(phi: FunctionTable, f: PointMap) -> FunctionTable:
     """The composite table ``phi after f`` on the source space of f."""
     _require_same_space(phi._space, f._target, "pullback: table does not live on the map target")
-    values = phi._values
-    return FunctionTable._trusted(f.source, {x: values[y] for x, y in f._assign.items()})
+    return FunctionTable._trusted(f.source, phi._v[f._tpos])
 
 
 def require_nonempty_fiber(f: PointMap, y: str) -> tuple[str, ...]:

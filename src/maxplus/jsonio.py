@@ -32,7 +32,7 @@ from typing import Any, Callable, Collection, Iterable, NamedTuple
 
 from .errors import ValidationError
 from .ground import FunctionTable, GroundSpace, PointMap
-from .measures import IdempotentMeasure, make_measure
+from .measures import IdempotentMeasure, _build
 from .semiring import weight_from_json
 
 
@@ -199,8 +199,7 @@ def read_measure(obj: Any) -> Read:
     weights = _column(atoms, "weight", "measure atom")
 
     def build(space: GroundSpace) -> IdempotentMeasure:
-        pairs = zip(points, (w if type(w) is float else weight_from_json(w) for w in weights))
-        return make_measure(space, pairs)
+        return IdempotentMeasure._trusted(space, *_build(space, points, weights, False, weight_from_json))
 
     return Read("measure", (space_id,), {space_id: points}, build)
 
@@ -220,13 +219,15 @@ def measure_to_json(mu: IdempotentMeasure) -> str:
     """``json.dumps(measure_to_dict(mu), sort_keys=True, indent=2)``, built in one join.
 
     The stdlib only uses its C encoder without ``indent``; this builds the
-    same text directly. ``float.__repr__`` is what ``json`` prints for any
-    float, a numpy ``float64`` included.
+    same text directly from the measure's arrays. ``float.__repr__`` is
+    what ``json`` prints for any float.
     """
     enc = encode_basestring_ascii
     rep = float.__repr__
+    ids = mu._space._ids
     atoms = ",\n".join(
-        f'    {{\n      "point": {enc(p)},\n      "weight": {rep(w)}\n    }}' for p, w in mu.atoms()
+        f'    {{\n      "point": {enc(ids[i])},\n      "weight": {rep(w)}\n    }}'
+        for i, w in zip(mu._idx.tolist(), mu._w.tolist())
     )
     return f'{{\n  "atoms": [\n{atoms}\n  ],\n  "space": {enc(mu.space_id)}\n}}'
 

@@ -11,12 +11,13 @@ and homogeneity holds within the rounding of the shifted sums.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CoefficientError, NoMassError, NormAxiomError, ValidationError
+from .errors import CoefficientError, NoMassError, NormAxiomError, ScalarError, ValidationError
 from .ground import (
     FunctionTable,
     GroundSpace,
@@ -33,23 +34,26 @@ from .semiring import scalar
 class IdempotentMeasure:
     """Normalized finite-support measure on a ground space.
 
+    A measure is two arrays: ``_idx``, the ascending positions of its
+    support points in the space, and ``_w``, their float64 weights.
     ``weights`` maps point ids to max-plus weights; bottom weights are
     trimmed away. The remaining weights must peak at exactly 0 — use
     :meth:`from_weights` to normalize arbitrary non-empty weights first.
     """
 
-    __slots__ = ("_space", "_weights")
+    __slots__ = ("_space", "_idx", "_w")
 
     def __init__(self, space: GroundSpace, weights: Mapping[str, float]):
         self._space = space
-        self._weights = _build(space, weights.items(), normalize=False)
+        self._idx, self._w = _build(space, list(weights), list(weights.values()), normalize=False)
 
     @classmethod
-    def _trusted(cls, space: GroundSpace, weights: dict[str, float]) -> IdempotentMeasure:
-        # internal fast path: weights already validated, ordered, normalized
+    def _trusted(cls, space: GroundSpace, idx: np.ndarray, w: np.ndarray) -> IdempotentMeasure:
+        # internal fast path: ascending unique positions, weights validated and normalized
         obj = cls.__new__(cls)
         obj._space = space
-        obj._weights = weights
+        obj._idx = idx
+        obj._w = w
         return obj
 
     @classmethod
@@ -60,13 +64,12 @@ class IdempotentMeasure:
         of dividing by total mass. The peak atom lands at exactly 0.0 since
         ``w - w == 0.0`` for every finite float.
         """
-        return cls._trusted(space, _build(space, weights.items(), normalize=True))
+        return cls._trusted(space, *_build(space, list(weights), list(weights.values()), normalize=True))
 
     @classmethod
     def dirac(cls, space: GroundSpace, point_id: str) -> IdempotentMeasure:
         """The point measure concentrated at one point with weight 0."""
-        space.index(point_id)
-        return cls._trusted(space, {point_id: 0.0})
+        return cls._trusted(space, np.array([space.index(point_id)], np.intp), np.zeros(1))
 
     @property
     def space(self) -> GroundSpace:
@@ -79,44 +82,60 @@ class IdempotentMeasure:
     @property
     def support(self) -> tuple[str, ...]:
         """Support points in space order."""
-        return tuple(self._weights)
+        return tuple(map(self._space._ids.__getitem__, self._idx.tolist()))
 
-    def atoms(self) -> Iterable[tuple[str, float]]:
+    def atoms(self) -> list[tuple[str, float]]:
         """(point id, weight) pairs in space order."""
-        return self._weights.items()
+        return list(zip(map(self._space._ids.__getitem__, self._idx.tolist()), self._w.tolist()))
+
+    @property
+    def _weights(self) -> dict[str, float]:
+        """The atoms as a dict, built on each call (the benchmark's tracer counts atoms by it)."""
+        return dict(self.atoms())
 
     def weight(self, point_id: str) -> float:
         """The weight at a point: ``-inf`` (bottom) off the support."""
-        if point_id not in self._space:
-            self._space.index(point_id)
-        return self._weights.get(point_id, -math.inf)
+        i = self._space.index(point_id)
+        k = int(self._idx.searchsorted(i))
+        if k < len(self._idx) and self._idx.item(k) == i:
+            return self._w.item(k)
+        return -math.inf
 
     def integrate(self, phi: FunctionTable) -> float:
         """Maslov integral: the peak of ``weight + phi`` over the support.
 
-        Never bottom: the peak atom adds exactly 0.0 to a finite value.
+        A gather and a max; the first maximal atom gives the value, so a
+        tie between ``+0.0`` and ``-0.0`` keeps the earlier one. Never
+        bottom: the peak atom adds exactly 0.0 to a finite value.
         """
         _require_same_space(phi._space, self._space, "cannot integrate a table against a measure")
-        values = phi.values
-        return max(w + values[pid] for pid, w in self._weights.items())
+        if len(self._idx) <= _FEW:  # Python's max keeps the first of equal sums
+            return max(map(operator.add, self._w.tolist(), phi._v[self._idx].tolist()))
+        with np.errstate(over="ignore"):  # a sum that overflows is -inf, as in Python
+            sums = self._w + phi._v[self._idx]
+        return sums.item(sums.argmax())
 
     __call__ = integrate
 
     def is_dirac(self) -> bool:
-        return len(self._weights) == 1
+        return len(self._idx) == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IdempotentMeasure):
             return NotImplemented
-        return _same_space(self._space, other._space) and self._weights == other._weights
+        return (
+            _same_space(self._space, other._space)
+            and self._idx.tolist() == other._idx.tolist()
+            and self._w.tolist() == other._w.tolist()
+        )
 
     __hash__ = None  # type: ignore[assignment]
 
     def __len__(self) -> int:
-        return len(self._weights)
+        return len(self._idx)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{pid}: {w}" for pid, w in self._weights.items())
+        inner = ", ".join(f"{pid}: {w}" for pid, w in self.atoms())
         return f"IdempotentMeasure({self.space_id!r}, {{{inner}}})"
 
 
@@ -124,51 +143,136 @@ def _integrate_rows(mu: IdempotentMeasure, rows: np.ndarray) -> np.ndarray:
     """The Maslov integral of each row of an ``(m, n)`` float64 array.
 
     Columns follow the space's point order. Each result is bit-identical
-    to :meth:`IdempotentMeasure.integrate` of that row, except that where
-    ``+0.0`` and ``-0.0`` tie for the peak, numpy's ``max`` may return the
-    other zero than Python's, which keeps the first.
+    to :meth:`IdempotentMeasure.integrate` of that row: where a row peaks
+    at zero, the first maximal atom decides between ``+0.0`` and ``-0.0``.
     """
-    idx = [mu._space._index[pid] for pid in mu._weights]
-    w = np.fromiter(mu._weights.values(), np.float64, len(idx))
     with np.errstate(over="ignore"):  # a sum that overflows is -inf, as in Python
-        return (w + rows[:, idx]).max(axis=1)
+        sums = mu._w + rows[:, mu._idx]
+    peaks = sums.max(axis=1)
+    if np.count_nonzero(peaks) < len(peaks):  # max may return either zero: take the first maximal atom
+        zero = (peaks == 0.0).nonzero()[0]
+        tied = sums[zero]
+        peaks[zero] = tied[np.arange(len(zero)), tied.argmax(axis=1)]
+    return peaks
 
 
 def _build(
-    space: GroundSpace, pairs: Iterable[tuple[str, float]], normalize: bool
-) -> dict[str, float]:
-    """The one construction path: (point, weight) pairs to measure weights.
+    space: GroundSpace, ids: Sequence, weights: Sequence, normalize: bool, read=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of point ids and raw weights to a measure's arrays.
 
-    Every point must belong to the space. Duplicate points merge by max
-    (idempotent addition) and bottom weights drop, including a sum or a
-    normalizing shift that rounds to ``-inf``. With ``normalize`` the
-    weights are shifted so the peak is 0; without it, a peak other than 0
-    is rejected. Returns the weights in space order. Plain floats are
-    checked inline; any other weight goes through :func:`scalar`.
+    Maps the ids to positions and checks the weights, each once for the
+    whole column, then hands both columns to :func:`_merge`. Ints and
+    other non-float weights go through ``read`` (the JSON reader) when
+    given, then through :func:`scalar`. A failed check names the
+    earliest bad atom, as a per-atom check would (see :func:`_reject`).
     """
-    index = space._index
-    inf = math.inf
-    merged: dict[str, float] = {}
-    for pid, w in pairs:
-        if pid not in index:
-            space.index(pid)  # raises UnknownPointError with context
-        if type(w) is not float or not w < inf:  # NaN and +inf raise in scalar
-            w = scalar(w)
-        if w == -inf:
-            continue
-        prev = merged.get(pid)
-        if prev is None or w > prev:
-            merged[pid] = w
-    if not merged:
+    try:
+        pos = list(map(space._index.__getitem__, ids))
+        if not set(map(type, weights)) <= {float}:
+            convert = read or scalar
+            weights = [w if type(w) is float else convert(w) for w in weights]
+    except (KeyError, TypeError, ScalarError):
+        _reject(space, ids, weights, read)
+        raise
+    if not all(map(math.inf.__gt__, weights)):  # NaN or +inf
+        _reject(space, ids, weights, read)
+    return _merge(space, pos, weights, normalize)
+
+
+def _reject(space: GroundSpace, ids: Sequence, weights: Sequence, read) -> None:
+    """Raise for the earliest bad atom of a column that failed a check.
+
+    Within one atom a weight that ``read`` rejects comes first, then an
+    unknown point, then a weight that :func:`scalar` rejects (NaN, +inf,
+    and for library callers any non-number).
+    """
+    for pid, w in zip(ids, weights):
+        if read is not None and type(w) is not float:
+            w = read(w)
+        space.index(pid)  # raises UnknownPointError with context
+        scalar(w)
+
+
+_FEW = 64
+"""Atom count up to which merging and integrating run on Python floats.
+
+Every numpy call costs about a microsecond before it does any work, and
+a merge takes about ten of them, so a loop over a few atoms is cheaper.
+The check suites build thousands of measures of at most a dozen atoms.
+"""
+
+
+def _merge(
+    space: GroundSpace, pos: Sequence[int], w: Sequence[float], normalize: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one "move atoms, then max-merge" kernel behind every measure.
+
+    ``pos`` holds space positions and ``w`` weights (no NaN, no +inf) in
+    input order, both arrays or both lists. Bottom weights drop, atoms at one
+    position merge by max (idempotent addition) and the support comes
+    out in space order. Equal weights keep the first in input order,
+    which matters only between ``+0.0`` and ``-0.0``. With ``normalize``
+    the weights are shifted so the peak is 0, taking the first peak by
+    first appearance; a shifted weight that rounds to ``-inf`` drops.
+    Without it, a peak other than 0 is rejected. Up to ``_FEW`` atoms
+    the merge runs on Python floats, above it on whole numpy columns
+    (:func:`_max_scatter`); both give the same bits.
+    """
+    if len(w) <= _FEW:
+        if isinstance(pos, np.ndarray):
+            pos, w = pos.tolist(), w.tolist()
+        best: dict[int, float] = {}
+        bottom = -math.inf
+        for p, x in zip(pos, w):
+            if x > best.get(p, bottom):  # the first of equal weights stays; bottom never enters
+                best[p] = x
+        peak = max(best.values(), default=math.nan)  # the first peak by first appearance
+        idx = sorted(best)
+        idx, merged = np.array(idx, np.intp), np.array(list(map(best.__getitem__, idx)))
+    else:
+        idx, merged, peak = _max_scatter(len(space._ids), np.asarray(pos), np.asarray(w), normalize)
+    if not len(idx):
         raise NoMassError(f"no mass: measure on space {space.id!r} has empty support")
-    peak = max(merged.values())
-    order = sorted(merged, key=index.__getitem__)
     if normalize:
-        shifted = ((pid, merged[pid] - peak) for pid in order)
-        return {pid: w for pid, w in shifted if w != -inf}
+        with np.errstate(over="ignore"):  # a shift that overflows is -inf and drops
+            merged = merged - peak
+        keep = merged != -math.inf
+        return idx[keep], merged[keep]
     if peak != 0.0:
         raise NormAxiomError(f"norm axiom violated: peak weight is {peak!r}, expected 0.0")
-    return {pid: merged[pid] for pid in order}
+    return idx, merged
+
+
+def _max_scatter(
+    n: int, pos: np.ndarray, w: np.ndarray, first_peak: bool
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The merge on whole columns: max-scatter the weights into a vector over the space.
+
+    Positions that receive no finite weight hold ``-inf`` and drop out.
+    ``np.maximum`` may return either of ``+0.0`` and ``-0.0``, so where
+    both meet at a position, the first zero there is written back. With
+    ``first_peak`` a zero peak is the one that appears first in the input.
+    """
+    top = np.empty(n)
+    top.fill(-math.inf)
+    np.maximum.at(top, pos, w)
+    idx = np.isfinite(top).nonzero()[0]
+    zeros = (w == 0.0).nonzero()[0]
+    negative = np.count_nonzero(np.signbit(w[zeros]))
+    if 0 < negative < len(zeros):
+        at, first = np.unique(pos[zeros], return_index=True)
+        tied = top[at] == 0.0
+        top[at[tied]] = w[zeros[first[tied]]]
+    merged = top[idx]
+    if not len(idx):
+        return idx, merged, math.nan
+    peak = merged.item(merged.argmax())
+    if first_peak and peak == 0.0:
+        first_seen = np.unique(pos[w != -math.inf], return_index=True)[1]
+        tied = (merged == 0.0).nonzero()[0]
+        peak = merged.item(tied[first_seen[tied].argmin()])
+    return idx, merged, peak
 
 
 def combine(
@@ -184,7 +288,8 @@ def combine(
     the other measure. With both coefficients finite the combined support
     is the union of the two supports, less any atom whose shifted weight
     rounds to ``-inf``, and the result is normalized bit-exactly (its new
-    peak is ``max(alpha, beta) == 0``).
+    peak is ``max(alpha, beta) == 0``). The ``mu`` atoms go to the merge
+    kernel first, so on a tie at one point the ``mu`` weight is kept.
     """
     _require_same_space(mu._space, nu._space, "cannot combine measures")
     av = scalar(alpha)
@@ -195,9 +300,14 @@ def combine(
         return nu
     if bv == -math.inf:
         return mu
-    shifted = [(pid, av + w) for pid, w in mu._weights.items()]
-    shifted += [(pid, bv + w) for pid, w in nu._weights.items()]
-    return IdempotentMeasure._trusted(mu.space, _build(mu.space, shifted, normalize=False))
+    if len(mu) + len(nu) <= _FEW:  # Python floats: a sum that overflows is -inf and drops
+        pos = mu._idx.tolist() + nu._idx.tolist()
+        w = [av + x for x in mu._w.tolist()] + [bv + x for x in nu._w.tolist()]
+    else:
+        pos = np.concatenate((mu._idx, nu._idx))
+        with np.errstate(over="ignore"):
+            w = np.concatenate((av + mu._w, bv + nu._w))
+    return IdempotentMeasure._trusted(mu.space, *_merge(mu.space, pos, w))
 
 
 def make_measure(
@@ -211,7 +321,9 @@ def make_measure(
     drop. With ``normalize`` the weights are shifted so the peak is 0;
     without it, a peak other than 0 is rejected.
     """
-    return IdempotentMeasure._trusted(space, _build(space, raw_atoms, normalize))
+    pairs = list(raw_atoms)
+    ids, weights = zip(*pairs) if pairs else ((), ())
+    return IdempotentMeasure._trusted(space, *_build(space, ids, weights, normalize))
 
 
 def measure_equal(mu: IdempotentMeasure, nu: IdempotentMeasure, tol: float = 0.0) -> bool:
@@ -241,10 +353,11 @@ def max_weight_gap(mu: IdempotentMeasure, nu: IdempotentMeasure) -> float:
     certifies equal supports as well.
     """
     _require_same_space(mu._space, nu._space, "cannot compare measures")
-    if mu.support != nu.support:
+    if mu._idx.tolist() != nu._idx.tolist():
         return math.inf
-    nw = nu._weights
-    return max(abs(w - nw[pid]) for pid, w in mu._weights.items())
+    if mu._w.tolist() == nu._w.tolist():
+        return 0.0
+    return float(np.abs(mu._w - nu._w).max())
 
 
 # --- black-box axiom checking -------------------------------------------
@@ -304,11 +417,11 @@ def check_axioms(
     n = len(pids)
     for t in range(trials):
         rng = trial_rng(seed, t)
-        phi_vals = {p: float(v) for p, v in zip(pids, rng.uniform(-10.0, 10.0, n))}
-        psi_vals = {p: float(v) for p, v in zip(pids, rng.uniform(-10.0, 10.0, n))}
+        phi_row = rng.uniform(-10.0, 10.0, n)
+        psi_row = rng.uniform(-10.0, 10.0, n)
         lam = float(rng.uniform(-5.0, 5.0))
-        phi = FunctionTable._trusted(space, phi_vals)
-        psi = FunctionTable._trusted(space, psi_vals)
+        phi = FunctionTable._trusted(space, phi_row)
+        psi = FunctionTable._trusted(space, psi_row)
 
         got_norm = functional(constant_table(space, lam))
         if got_norm != lam:
@@ -327,7 +440,7 @@ def check_axioms(
                 "axiom": "homogeneity",
                 "trial": t,
                 "lambda": lam,
-                "phi": phi_vals,
+                "phi": dict(phi.values),
                 "expected": base + lam,
                 "actual": shifted,
             })
@@ -338,8 +451,8 @@ def check_axioms(
             return AxiomCheckReport(name, False, t + 1, {
                 "axiom": "max-additivity",
                 "trial": t,
-                "phi": phi_vals,
-                "psi": psi_vals,
+                "phi": dict(phi.values),
+                "psi": dict(psi.values),
                 "expected": rhs,
                 "actual": lhs,
             })

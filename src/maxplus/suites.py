@@ -90,7 +90,9 @@ class SuiteReport:
     def fail(self, trial: int, check: str, inputs, expected, actual) -> None:
         """Record one failed check, and count it when the report counts checks.
 
-        A check the report did not declare raises ``KeyError``.
+        ``inputs`` is the trial's inputs, or a function that returns them,
+        so a suite only assembles them for a trial that fails. A check the
+        report did not declare raises ``KeyError``.
         """
         counts = self.details.get("failures_by_check")
         if counts is not None:
@@ -124,7 +126,7 @@ def _failure(trial: int, seed: int, check: str, inputs, expected, actual) -> dic
         "trial": trial,
         "seed": seed,
         "check": check,
-        "inputs": _digest(inputs),
+        "inputs": _digest(inputs() if callable(inputs) else inputs),
         "expected": str(expected),
         "actual": str(actual),
     }
@@ -148,9 +150,7 @@ def _random_measure(rng, space: GroundSpace, max_atoms: int = 8) -> IdempotentMe
 
 
 def _random_table(rng, space: GroundSpace, lo: float = -10.0, hi: float = 10.0) -> FunctionTable:
-    pids = space.point_ids
-    row = rng.uniform(lo, hi, len(pids)).tolist()
-    return FunctionTable._trusted(space, dict(zip(pids, row)))
+    return FunctionTable._trusted(space, rng.uniform(lo, hi, len(space)))
 
 
 def _random_map(rng, source: GroundSpace, target: GroundSpace) -> PointMap:
@@ -262,12 +262,8 @@ def run_functor(trials: int = 500, seed: int = 0) -> SuiteReport:
         f = _random_map(rng, sx, sy)
         g = _random_map(rng, sy, sz)
         mu = _random_measure(rng, sx)
-        inputs = {
-            "trial": t,
-            "f": dict(f.assign),
-            "g": dict(g.assign),
-            "measure": _measure_dict(mu),
-        }
+        def inputs():
+            return {"trial": t, "f": dict(f.assign), "g": dict(g.assign), "measure": _measure_dict(mu)}
 
         if pushforward(identity_map(sx), mu) != mu:
             report.fail(t, "identity", inputs, "mu", "changed by identity pushforward")
@@ -338,14 +334,9 @@ def run_convexity(trials: int = 500, seed: int = 0) -> SuiteReport:
             alpha, beta = 0.0, -math.inf
         combo = combine(alpha, mu1, beta, mu2)
 
-        inputs = {
-            "trial": t,
-            "f": dict(f.assign),
-            "nu": _measure_dict(nu),
-            "mu1": _measure_dict(mu1),
-            "mu2": _measure_dict(mu2),
-            "case": case,
-        }
+        def inputs():
+            return {"trial": t, "f": dict(f.assign), "nu": _measure_dict(nu), "mu1": _measure_dict(mu1),
+                    "mu2": _measure_dict(mu2), "case": case}
 
         if not preimage_contains(f, nu, combo):
             report.fail(t, "preimage", inputs, _measure_dict(nu),
@@ -381,7 +372,7 @@ def _lipschitz_table(rng, space: GroundSpace, grid_ids, grid_coords, atom_ids) -
     for a in atom_ids:
         c = space.coords(a)[0]
         values[a] = min(values[g] + abs(c - x) for g, x in zip(grid_ids, grid_coords))
-    return FunctionTable._trusted(space, {p: values[p] for p in space.point_ids})
+    return FunctionTable._trusted(space, np.array([values[p] for p in space.point_ids]))
 
 
 def run_density(trials: int = 200, seed: int = 0) -> SuiteReport:
@@ -425,7 +416,8 @@ def run_density(trials: int = 200, seed: int = 0) -> SuiteReport:
             for _ in range(k)
         ]
         eps = epsilons[t % 2]
-        inputs = {"trial": t, "epsilon": eps, "atoms": dict(mu.atoms()), "tables": k}
+        def inputs():
+            return {"trial": t, "epsilon": eps, "atoms": dict(mu.atoms()), "tables": k}
 
         try:
             nu = approximate_on_dense(mu, grid_ids, tests, eps)
@@ -448,7 +440,7 @@ def run_density(trials: int = 200, seed: int = 0) -> SuiteReport:
     demo_space = GroundSpace("Ddemo", demo_points)
     demo_mu = IdempotentMeasure.dirac(demo_space, "a0")
     identity_table = FunctionTable._trusted(
-        demo_space, {p: demo_space.coords(p)[0] for p in demo_space.point_ids}
+        demo_space, np.array([demo_space.coords(p)[0] for p in demo_space.point_ids])
     )
     demo_eps = 0.001
     demo = {"epsilon": demo_eps, "raised": False, "worst_discrepancy": None}
@@ -517,13 +509,9 @@ def run_openmap(trials: int = 200, seed: int = 0) -> SuiteReport:
             atoms.append((f"g{i2}", w))
         nu_prime = make_measure(line, atoms)
 
-        inputs = {
-            "trial": t,
-            "grid": n,
-            "axis": axis,
-            "mu0": _measure_dict(mu0),
-            "nu_prime": _measure_dict(nu_prime),
-        }
+        def inputs():
+            return {"trial": t, "grid": n, "axis": axis, "mu0": _measure_dict(mu0),
+                    "nu_prime": _measure_dict(nu_prime)}
 
         if not support_displacement(nu0, nu_prime) <= delta:
             report.fail(t, "target_near_base", inputs, f"<= {delta}",
@@ -568,20 +556,23 @@ def run_lemmas(trials: int = 500, seed: int = 0) -> SuiteReport:
         phi = _random_table(rng, sx)
         lower = fiber_inf(f, phi)
         upper = fiber_sup(f, phi)
-        inputs = {"trial": t, "f": dict(f.assign), "phi": dict(phi.values)}
+        def inputs():
+            return {"trial": t, "f": dict(f.assign), "phi": dict(phi.values)}
 
-        low_pull = pullback(lower, f)
-        up_pull = pullback(upper, f)
+        low_pull = pullback(lower, f).values
+        up_pull = pullback(upper, f).values
+        values = phi.values
         if not all(
-            low_pull(x) <= phi(x) <= up_pull(x) for x in sx.point_ids
+            low_pull[x] <= values[x] <= up_pull[x] for x in sx.point_ids
         ):
             report.fail(t, "dominated", inputs, "fiber min <= phi <= fiber max pointwise",
                         "violated")
 
         attained = True
+        low, up = lower.values, upper.values
         for y in sy.point_ids:
-            fiber_values = [phi(x) for x in fiber_points(f, y)]
-            if lower(y) not in fiber_values or upper(y) not in fiber_values:
+            fiber_values = [values[x] for x in fiber_points(f, y)]
+            if low[y] not in fiber_values or up[y] not in fiber_values:
                 attained = False
                 break
         if not attained:
@@ -594,7 +585,7 @@ def run_lemmas(trials: int = 500, seed: int = 0) -> SuiteReport:
         nu = IdempotentMeasure(sx, _random_weights(rng, sub))
         bound = check_fiber_bounds(f, y0, nu, phi)
         if not (bound.applicable and bound.passed):
-            report.fail(t, "fiber_bounds", {**inputs, "nu": _measure_dict(nu), "y0": y0},
+            report.fail(t, "fiber_bounds", {**inputs(), "nu": _measure_dict(nu), "y0": y0},
                         f"{bound.lower} <= integral <= {bound.upper}",
                         bound.integral if bound.applicable else "inapplicable")
 

@@ -87,9 +87,10 @@ def approximate_on_dense(
     nbhd = WeakNeighborhood(mu, tuple(tests), epsilon)
 
     dense_coords = [space.coords(y) for y in dense_ordered]
+    atom_coords = space._coords_at(mu._idx.tolist())
     nu = make_measure(
         space,
-        ((dense_ordered[_nearest(dense_coords, space.coords(x))], w) for x, w in mu.atoms()),
+        ((dense_ordered[_nearest(dense_coords, c)], w) for c, w in zip(atom_coords, mu._w.tolist())),
     )
 
     gaps = nbhd.discrepancies(nu)

@@ -1,14 +1,36 @@
 """Shared fixtures and strategy helpers for the test suite."""
 
+import contextlib
+
 import pytest
 from hypothesis import settings, strategies as st
 
-from maxplus import FunctionTable, GroundSpace, IdempotentMeasure, Point
+from maxplus import FunctionTable, GroundSpace, IdempotentMeasure, Point, measures
 
 # Tier-1 passes or fails the same way on every run: hypothesis draws from a
 # fixed seed, keeps no example database and times no example.
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
+
+
+# ---------------------------------------------------------------------------
+# The two executions of the measure kernels
+# ---------------------------------------------------------------------------
+
+# Merging and integrating run on Python floats up to ``measures._FEW`` atoms
+# and on numpy columns above it; the oracle tests run each way.
+KERNELS = ("python", "numpy")
+
+
+@contextlib.contextmanager
+def kernel_path(kernel: str):
+    """Run every merge and integral the given way, whatever the atom count."""
+    saved = measures._FEW
+    measures._FEW = 10**9 if kernel == "python" else -1
+    try:
+        yield
+    finally:
+        measures._FEW = saved
 
 
 # ---------------------------------------------------------------------------

@@ -333,13 +333,17 @@ def _map_to_y(assign):
                     "tests": [TABLE_X], "eps": "0.1"}, "expected strings, got a number"),
         ("approx", {"measure": MEASURE_X, "dense": {"space": None, "points": ["a"]},
                     "tests": [TABLE_X], "eps": "0.1"}, "'space' must be a string"),
+        ("integrate", {"measure": {"space": "X", "atoms": [{"point": "zz", "weight": 0.0},
+                                                           {"point": "a", "weight": "abc"}]},
+                       "function": TABLE_X, "space": {"id": "X", "points": [{"id": "a"}]}},
+         "unknown point 'zz' in space 'X'"),
     ],
     ids=[
         "values-5", "assign-5", "assign-abc", "assign-list", "assign-list-with-space",
         "weight-false", "value-true", "coords-true", "space-5", "from-5",
         "value-overflow", "coords-overflow", "weight-overflow", "value-string", "coords-string",
         "point-null", "space-id-null", "point-ids-null-true", "assign-number", "assign-null",
-        "dense-point-number", "dense-space-null",
+        "dense-point-number", "dense-space-null", "earliest-bad-atom",
     ],
 )
 def test_exit_2_on_malformed_object(tmp_path, command, inputs, message):

@@ -158,14 +158,38 @@ def test_table_totality_enforced(abc_space):
         FunctionTable(abc_space, {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0})
 
 
+def test_table_totality_message_lists_missing_and_extraneous_ids(abc_space):
+    with pytest.raises(ValidationError, match=re.escape("missing ['c'], extraneous ['d', 'e']")):
+        FunctionTable(abc_space, {"a": 1.0, "b": 2.0, "e": 3.0, "d": 4.0})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda s, t: FunctionTable(s, {"a": 0.0, "b": 1.0, 1: 2.0, "z": 3.0}),
+         "function table on space 'X' is not total: missing ['c'], extraneous [1, 'z']"),
+        (lambda s, t: PointMap(s, t, {"a": "u", "b": "u", "c": "v", None: "u", "d": "v"}),
+         "map from 'X' is not total: missing [], extraneous [None, 'd']"),
+    ],
+    ids=["table-int-key", "map-none-key"],
+)
+def test_totality_message_with_keys_of_mixed_types(abc_space, uv_space, build, message):
+    # keys that do not compare are listed by type name, then repr, not a bare TypeError
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        build(abc_space, uv_space)
+
+
 def test_table_rejects_nonfinite(abc_space):
     with pytest.raises(ValidationError):
         FunctionTable(abc_space, {"a": 1.0, "b": math.inf, "c": 0.0})
 
 
 def test_table_call_and_eq(abc_space):
-    phi = FunctionTable(abc_space, {"a": 1.0, "b": 2.0, "c": 3.0})
+    phi = FunctionTable(abc_space, {"a": 1.0, "b": 2, "c": 3.0})
     assert phi("b") == 2.0
+    assert type(phi("b")) is float
+    assert dict(phi.values) == {"a": 1.0, "b": 2.0, "c": 3.0}
+    assert all(type(v) is float for v in phi.values.values())
     assert phi == FunctionTable(abc_space, {"a": 1.0, "b": 2.0, "c": 3.0})
     assert phi != FunctionTable(abc_space, {"a": 1.0, "b": 2.0, "c": 3.5})
     with pytest.raises(UnknownPointError):

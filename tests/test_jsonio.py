@@ -192,8 +192,9 @@ extreme_weights = st.one_of(
 )
 def test_measure_to_json_matches_json_dumps(space_id, weights, numpy_weight):
     space = GroundSpace(space_id, list(weights))
-    weights[next(iter(weights))] = np.float64(numpy_weight)
-    mu = IdempotentMeasure._trusted(space, weights)
+    w = np.array(list(weights.values()))
+    w[0] = numpy_weight
+    mu = IdempotentMeasure._trusted(space, np.arange(len(w)), w)
     expected = json.dumps(measure_to_dict(mu), sort_keys=True, indent=2)
     assert measure_to_json(mu) == expected
 

@@ -30,7 +30,7 @@ from maxplus import (
 )
 from maxplus.errors import ScalarError
 from maxplus.measures import _integrate_rows
-from tests.conftest import finite_weights, measures_on, tables_on
+from tests.conftest import KERNELS, finite_weights, kernel_path, measures_on, tables_on
 
 SPACE = GroundSpace("X", [Point("a"), Point("b"), Point("c")])
 
@@ -63,6 +63,15 @@ def test_measure_drops_bottom_atoms():
 def test_measure_rejects_unknown_point():
     with pytest.raises(UnknownPointError):
         IdempotentMeasure(SPACE, {"zz": 0.0})
+
+
+def test_accessors_return_python_floats():
+    mu = IdempotentMeasure(SPACE, {"a": 0.0, "b": -2})
+    phi = FunctionTable(SPACE, {"a": 1.0, "b": 10.0, "c": 0.0})
+    values = [mu.integrate(phi), mu(phi), mu.weight("a"), mu.weight("c")]
+    values += [w for _, w in mu.atoms()]
+    assert all(type(v) is float for v in values)
+    assert all(type(p) is str for p in mu.support)
 
 
 def test_from_weights_normalizes():
@@ -199,6 +208,39 @@ def test_weights_and_coefficients_share_one_scalar_rule(build, bad, message):
         build(bad)
 
 
+BAD_ATOMS = {  # one bad atom each, with the error it raises on its own
+    "unknown-point": (("zz", 0.0), UnknownPointError, "unknown point 'zz'"),
+    "nan": (("a", math.nan), ScalarError, "must be finite or -inf, got nan"),
+    "string": (("b", "-1.0"), ScalarError, "not a max-plus scalar: '-1.0'"),
+}
+
+
+@pytest.mark.parametrize("first, second", [
+    ("unknown-point", "nan"), ("nan", "unknown-point"),
+    ("unknown-point", "string"), ("string", "unknown-point"),
+    ("nan", "string"), ("string", "nan"),
+])
+def test_earliest_bad_atom_decides_the_error(first, second):
+    atoms = [("c", 0.0), BAD_ATOMS[first][0], ("a", -1.0), BAD_ATOMS[second][0]]
+    _, error, message = BAD_ATOMS[first]
+    with pytest.raises(error, match=message):
+        make_measure(SPACE, atoms)
+
+
+@pytest.mark.parametrize("atom, error, message", [
+    ({"point": "zz", "weight": "abc"}, ScalarError, "not a max-plus scalar: 'abc'"),
+    ({"point": "zz", "weight": math.nan}, UnknownPointError, "unknown point 'zz'"),
+    ({"point": "zz", "weight": True}, ScalarError, "not a max-plus scalar: True"),
+])
+def test_within_one_json_atom_the_weight_reader_comes_first(atom, error, message):
+    # a bad JSON weight beats an unknown point, which beats a NaN or +inf float
+    from maxplus.jsonio import measure_from_dict
+
+    obj = {"space": "X", "atoms": [{"point": "a", "weight": 0.0}, atom]}
+    with pytest.raises(error, match=message):
+        measure_from_dict(obj, SPACE)
+
+
 def test_combine_requires_unit_peak_coefficient():
     da = IdempotentMeasure.dirac(SPACE, "a")
     db = IdempotentMeasure.dirac(SPACE, "b")
@@ -276,13 +318,16 @@ full_weights = st.dictionaries(st.sampled_from(["a", "b", "c"]), full_range, min
 def test_invariants_hold_over_the_full_float_range(raw_mu, raw_nu, alpha):
     from maxplus.jsonio import measure_to_json
 
-    mu = IdempotentMeasure.from_weights(SPACE, raw_mu)
-    nu = make_measure(SPACE, raw_nu.items(), normalize=True)
-    for m in (mu, nu, combine(alpha, mu, 0.0, nu), combine(0.0, mu, alpha, nu)):
-        weights = [w for _, w in m.atoms()]
-        assert max(weights) == 0.0
-        assert all(math.isfinite(w) for w in weights)
-        json.loads(measure_to_json(m), parse_constant=_reject_constant)
+    for kernel in KERNELS:
+        with kernel_path(kernel):
+            mu = IdempotentMeasure.from_weights(SPACE, raw_mu)
+            nu = make_measure(SPACE, raw_nu.items(), normalize=True)
+            combos = (combine(alpha, mu, 0.0, nu), combine(0.0, mu, alpha, nu))
+        for m in (mu, nu, *combos):
+            weights = [w for _, w in m.atoms()]
+            assert max(weights) == 0.0
+            assert all(math.isfinite(w) for w in weights)
+            json.loads(measure_to_json(m), parse_constant=_reject_constant)
 
 
 @given(full_weights, st.lists(full_range, min_size=3, max_size=3))
@@ -291,10 +336,94 @@ def test_integral_is_finite_and_at_least_the_peak_value(raw, row):
     # the peak atom adds exactly 0.0 to a finite value, so the integral has no bottom branch
     mu = IdempotentMeasure.from_weights(SPACE, raw)
     phi = FunctionTable(SPACE, dict(zip("abc", row)))
-    got = mu.integrate(phi)
     peak = next(pid for pid, w in mu.atoms() if w == 0.0)
-    assert type(got) is float and math.isfinite(got)
-    assert got >= phi(peak)
+    for kernel in KERNELS:
+        with kernel_path(kernel):
+            got = mu.integrate(phi)
+        assert type(got) is float and math.isfinite(got)
+        assert got >= phi(peak)
+
+
+def ref_integral(mu, row):
+    """The integral as a plain loop: the first atom with the largest sum wins."""
+    values = dict(zip(mu.space.point_ids, row))
+    best = None
+    for pid, w in mu.atoms():
+        s = w + values[pid]
+        if best is None or s > best:
+            best = s
+    return best
+
+
+def ref_best(pairs):
+    """Max-merge (point, weight) pairs with a plain dict: the first of equal weights wins."""
+    out = {}
+    for pid, w in pairs:
+        if w != -math.inf and (pid not in out or w > out[pid]):
+            out[pid] = w
+    return out
+
+
+def ref_merge(pairs):
+    out = ref_best(pairs)
+    return [(p, out[p].hex()) for p in sorted(out, key=SPACE.index)]
+
+
+def bits(mu):
+    return [(p, w.hex()) for p, w in mu.atoms()]
+
+
+signed_weights = st.one_of(st.sampled_from([0.0, -0.0, -1.0, -math.inf]), st.floats(-10.0, 0.0))
+atom_lists = st.lists(st.tuples(st.sampled_from("abc"), signed_weights), min_size=1, max_size=8)
+
+
+@given(atom_lists)
+@example([("b", -0.0), ("a", -3.0), ("b", 0.0)])  # a duplicate point: +0.0 and -0.0 tie
+@example([("b", 0.0), ("b", -0.0), ("c", -0.0)])
+def test_make_measure_matches_a_reference_merge(pairs):
+    if max(w for _, w in pairs) != 0.0:
+        pairs = pairs + [("c", 0.0)]
+    for kernel in KERNELS:
+        with kernel_path(kernel):
+            assert bits(make_measure(SPACE, pairs)) == ref_merge(pairs)
+
+
+def ref_normalized(pairs):
+    """Max-merge, then subtract the peak: the first maximal weight by first appearance."""
+    out = ref_best(pairs)
+    peak = max(out.values())
+    shifted = {p: w - peak for p, w in out.items()}
+    return [(p, shifted[p].hex()) for p in sorted(shifted, key=SPACE.index) if shifted[p] != -math.inf]
+
+
+@given(st.lists(st.tuples(st.sampled_from("abc"), st.one_of(signed_weights, full_range)),
+                min_size=1, max_size=8).filter(lambda ps: max(w for _, w in ps) > -math.inf))
+@example([("b", 0.0), ("a", -0.0)])  # b's +0.0 is the peak: a keeps -0.0
+@example([("a", -0.0), ("b", 0.0)])  # a's -0.0 is the peak: both zeros become +0.0
+@example([("a", -math.inf), ("b", 0.0), ("a", -0.0)])  # a bottom atom does not make a first
+@example([("a", 1.7e308), ("b", -1.7e308)])  # the shift rounds b to -inf
+def test_normalize_matches_a_reference(pairs):
+    for kernel in KERNELS:
+        with kernel_path(kernel):
+            assert bits(make_measure(SPACE, pairs, normalize=True)) == ref_normalized(pairs)
+
+
+@given(measures_on(SPACE), measures_on(SPACE), st.sampled_from([0.0, -0.0]),
+       st.one_of(st.sampled_from([0.0, -0.0, -1.0]), st.floats(-20.0, 0.0)))
+@example(  # -0.0 + -0.0 on the mu side ties 0.0 + 0.0 on the nu side: mu comes first
+    IdempotentMeasure(SPACE, {"a": -0.0}), IdempotentMeasure(SPACE, {"a": 0.0}), -0.0, 0.0,
+)
+@example(
+    IdempotentMeasure(SPACE, {"a": 0.0, "b": -1.0}),
+    IdempotentMeasure(SPACE, {"a": -0.0, "b": -1.0}), 0.0, -0.0,
+)
+def test_combine_matches_a_reference_merge(mu, nu, alpha, beta):
+    # either coefficient may take the zero; the other is at most zero
+    for a, b in ((alpha, beta), (beta, alpha)):
+        shifted = [(p, a + w) for p, w in mu.atoms()] + [(p, b + w) for p, w in nu.atoms()]
+        for kernel in KERNELS:
+            with kernel_path(kernel):
+                assert bits(combine(a, mu, b, nu)) == ref_merge(shifted)
 
 
 # ids out of sorted order: the batch kernel must follow the space's point order
@@ -321,15 +450,17 @@ table_rows = st.lists(st.lists(full_range, min_size=4, max_size=4), min_size=1, 
     [[1.0, 2.0, 3.0, 4.0]],  # 3.0 in point order, 1.0 in sorted-id order
 )
 def test_integrate_rows_matches_integrate(mu, rows):
-    # Bit-identical to the scalar integral, except that a tie between
-    # +0.0 and -0.0 may resolve to either zero.
+    # Bit-identical to the scalar integral, zeros included: both take the
+    # first maximal atom, so a tie between +0.0 and -0.0 keeps the earlier.
     got = _integrate_rows(mu, np.array(rows, dtype=np.float64))
     assert got.shape == (len(rows),)
     for value, row in zip(got.tolist(), rows):
-        want = mu.integrate(FunctionTable(ROW_SPACE, dict(zip(ROW_IDS, row))))
-        assert value == want
-        if want != 0.0:
-            assert value.hex() == want.hex()
+        phi = FunctionTable(ROW_SPACE, dict(zip(ROW_IDS, row)))
+        want = ref_integral(mu, row).hex()
+        for kernel in KERNELS:
+            with kernel_path(kernel):
+                assert mu.integrate(phi).hex() == want
+        assert value.hex() == want
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ many points are equidistant and every tie must go to the earliest point.
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from maxplus import (
     GroundSpace,
@@ -25,6 +25,7 @@ from maxplus import (
     support_displacement,
     uniform_grid_2d,
 )
+from tests.conftest import KERNELS, kernel_path
 
 # --- reference loops ------------------------------------------------------------
 
@@ -140,18 +141,37 @@ def bits(pairs):
     return [(p, w.hex()) for p, w in pairs]
 
 
+def _signed_zero_fiber():
+    """Two atoms, -0.0 before 0.0, in the one fiber over t0: the first zero must win."""
+    space = GroundSpace("P", [("p0", (0.0, 0.0)), ("p1", (1.0, 0.0)), ("p2", (0.0, 1.0))])
+    target = GroundSpace("T", ["t0", "t1"])
+    f = PointMap(space, target, {"p0": "t0", "p1": "t0", "p2": "t1"})
+    return {
+        "space": space,
+        "f": f,
+        "mu": IdempotentMeasure(space, {"p0": -0.0, "p1": 0.0, "p2": -1.0}),
+        "other": IdempotentMeasure(space, {"p1": -0.0, "p2": 0.0}),
+        "lift_target": IdempotentMeasure(target, {"t0": -0.0, "t1": 0.0}),
+        "dense": ["p2", "p1"],
+        "x": "p0",
+        "members": ("p1", "p2"),
+    }
+
+
 @settings(max_examples=300, deadline=None)
 @given(scenes())
+@example(_signed_zero_fiber())
 def test_transport_and_distances_match_reference_loops(scene):
     space, f, mu, other = scene["space"], scene["f"], scene["mu"], scene["other"]
 
-    assert bits(pushforward(f, mu).atoms()) == bits(ref_pushforward(f, mu))
-
-    nu = approximate_on_dense(mu, scene["dense"], [constant_table(space, 0.0)], 1.0)
-    assert bits(nu.atoms()) == bits(ref_approximate_on_dense(mu, scene["dense"]))
-
-    lifted = lift_toward(f, mu, scene["lift_target"])
-    assert bits(lifted.atoms()) == bits(ref_lift_toward(f, mu, scene["lift_target"]))
+    for kernel in KERNELS:
+        with kernel_path(kernel):
+            pushed = pushforward(f, mu)
+            nu = approximate_on_dense(mu, scene["dense"], [constant_table(space, 0.0)], 1.0)
+            lifted = lift_toward(f, mu, scene["lift_target"])
+        assert bits(pushed.atoms()) == bits(ref_pushforward(f, mu))
+        assert bits(nu.atoms()) == bits(ref_approximate_on_dense(mu, scene["dense"]))
+        assert bits(lifted.atoms()) == bits(ref_lift_toward(f, mu, scene["lift_target"]))
 
     got = support_displacement(mu, other)
     assert got.hex() == ref_support_displacement(mu, other).hex()
