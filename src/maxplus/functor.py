@@ -8,9 +8,8 @@ image) hold atom-exactly in floating point.
 
 The preimage of a measure under a pushforward is an infinite max-plus
 convex set; it is represented implicitly here through membership
-(:func:`preimage_contains`), its maximal element (:func:`canonical_lift`),
-a seeded sampler (:func:`sample_preimage`), and a geometry-aware
-representative lift (:func:`lift_toward`).
+(:func:`preimage_contains`), a seeded sampler (:func:`sample_preimage`),
+and a geometry-aware representative lift (:func:`lift_toward`).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .ground import (
     fiber_points,
     require_nonempty_fiber,
 )
-from .measures import IdempotentMeasure, _merge, make_measure, measure_equal
+from .measures import IdempotentMeasure, _merge, make_measure, max_weight_gap
 from .rng import rand_int, trial_rng
 
 
@@ -70,19 +69,13 @@ def preimage_contains(
     mu: IdempotentMeasure,
     tol: float = 0.0,
 ) -> bool:
-    """Membership test for the preimage of ``nu`` under the pushforward."""
-    _require_target_measure(f, nu)
-    return measure_equal(pushforward(f, mu), nu, tol)
+    """Membership test for the preimage of ``nu`` under the pushforward.
 
-
-def canonical_lift(f: PointMap, nu: IdempotentMeasure) -> IdempotentMeasure:
-    """The maximal preimage element: pull each weight back to its whole fiber.
-
-    Every other measure that pushes forward to ``nu`` is dominated by
-    this one pointwise.
+    The pushforward of ``mu`` must have the support of ``nu`` and weights
+    within ``tol`` of its weights (``tol`` 0: atom-exact).
     """
     _require_target_measure(f, nu)
-    return make_measure(f._source, ((x, w) for y, w in nu.atoms() for x in _lift_fiber(f, y)))
+    return max_weight_gap(pushforward(f, mu), nu) <= tol
 
 
 def sample_preimage(f: PointMap, nu: IdempotentMeasure, seed: int) -> IdempotentMeasure:

@@ -384,10 +384,6 @@ class PointMap:
     def image(self) -> frozenset[str]:
         return self._image
 
-    @property
-    def is_surjective(self) -> bool:
-        return len(self._image) == len(self._target)
-
     def __call__(self, point_id: str) -> str:
         try:
             return self._assign[point_id]
@@ -409,16 +405,8 @@ class PointMap:
         return f"PointMap({self.from_space!r} -> {self.to_space!r})"
 
 
-def fiber(f: PointMap, y: str) -> frozenset[str]:
-    """The preimage of a target point: all source points mapping onto it."""
-    try:
-        return frozenset(f._fibers[y])
-    except KeyError:
-        raise UnknownPointError(y, f.to_space) from None
-
-
 def fiber_points(f: PointMap, y: str) -> tuple[str, ...]:
-    """Like :func:`fiber` but in source order (deterministic iteration)."""
+    """The preimage of a target point: the source points mapping onto it, in source order."""
     try:
         return f._fibers[y]
     except KeyError:

@@ -20,7 +20,7 @@ message.
 Every kind but the space has one reader, ``read_<kind>``, which runs each
 check that needs no space once and returns a :class:`Read`: the space ids
 and point ids the object references, and the step that builds it on the
-resolved spaces. ``<kind>_from_dict`` is the reader plus that step.
+resolved spaces.
 """
 
 from __future__ import annotations
@@ -103,19 +103,9 @@ class Read(NamedTuple):
     ``space_ids`` and in that order.
     """
 
-    kind: str
     space_ids: tuple[str, ...]
     refs: dict[str, list[str]]
     build: Callable[..., Any]
-
-    def on(self, *spaces: GroundSpace) -> Any:
-        """``build`` on ``spaces``, which must be the spaces ``space_ids`` names, in order."""
-        ids = tuple(space.id for space in spaces)
-        if ids != self.space_ids:
-            said, got = (" -> ".join(map(repr, t)) for t in (self.space_ids, ids))
-            noun = "space " if len(ids) == 1 else ""
-            raise ValidationError(f"{self.kind} addresses {noun}{said} but was resolved against {got}")
-        return self.build(*spaces)
 
 
 def merged_refs(reads: Iterable[Read]) -> dict[str, list[str]]:
@@ -153,12 +143,7 @@ def read_function(obj: Any) -> Read:
     values = _typed(obj, "values", "function", dict)
     space_id = _typed(obj, "space", "function", str)
     _expect(values.values(), _NUMBERS, "function")
-    return Read("function", (space_id,), {space_id: list(values)},
-                lambda space: FunctionTable(space, values))
-
-
-def function_from_dict(obj: Any, space: GroundSpace) -> FunctionTable:
-    return read_function(obj).on(space)
+    return Read((space_id,), {space_id: list(values)}, lambda space: FunctionTable(space, values))
 
 
 def read_tests(obj: Any) -> Read:
@@ -167,7 +152,7 @@ def read_tests(obj: Any) -> Read:
     if not isinstance(raw, list) or not raw:
         raise ValidationError("malformed tests file: expected a nonempty list of function objects")
     reads = [read_function(t) for t in raw]
-    return Read("tests", tuple(r.space_ids[0] for r in reads), merged_refs(reads),
+    return Read(tuple(r.space_ids[0] for r in reads), merged_refs(reads),
                 lambda *spaces: [r.build(space) for r, space in zip(reads, spaces)])
 
 
@@ -180,12 +165,7 @@ def read_map(obj: Any) -> Read:
     _expect(assign.values(), _STRINGS, "map 'assign' values")
     refs = {from_id: list(assign)}
     refs.setdefault(to_id, []).extend(assign.values())
-    return Read("map", (from_id, to_id), refs,
-                lambda source, target: PointMap(source, target, assign))
-
-
-def map_from_dict(obj: Any, source: GroundSpace, target: GroundSpace) -> PointMap:
-    return read_map(obj).on(source, target)
+    return Read((from_id, to_id), refs, lambda source, target: PointMap(source, target, assign))
 
 
 # --- measures ---------------------------------------------------------------
@@ -201,11 +181,7 @@ def read_measure(obj: Any) -> Read:
     def build(space: GroundSpace) -> IdempotentMeasure:
         return IdempotentMeasure._trusted(space, *_build(space, points, weights, False, weight_from_json))
 
-    return Read("measure", (space_id,), {space_id: points}, build)
-
-
-def measure_from_dict(obj: Any, space: GroundSpace) -> IdempotentMeasure:
-    return read_measure(obj).on(space)
+    return Read((space_id,), {space_id: points}, build)
 
 
 def measure_to_dict(mu: IdempotentMeasure) -> dict:
@@ -241,8 +217,4 @@ def read_dense(obj: Any) -> Read:
     if not isinstance(points, list):
         raise ValidationError("malformed dense subset: 'points' must be a list")
     _expect(points, _STRINGS, "dense subset points")
-    return Read("dense subset", (space_id,), {space_id: points}, lambda *_: (space_id, points))
-
-
-def dense_from_dict(obj: Any) -> tuple[str, list[str]]:
-    return read_dense(obj).build()
+    return Read((space_id,), {space_id: points}, lambda *_: (space_id, points))

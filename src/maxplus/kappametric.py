@@ -7,7 +7,7 @@ set chains:
 * K1 (belonging): the value is zero exactly on members;
 * K2 (monotonicity): growing the set never grows the value;
 * K3 (continuity): 1-Lipschitz in the point argument — the finite-model
-  surrogate for continuity, evaluated only for metric-derived candidates;
+  surrogate for continuity, evaluated only on spaces with coordinates;
 * K4 (union): along a finite increasing chain, the value at the union
   (its last link) equals the minimum along the chain.
 
@@ -20,7 +20,7 @@ distance) are provided as negative controls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import ValidationError
 from .ground import GroundSpace, _distance_to_set, distance
@@ -34,25 +34,17 @@ AXIOM_NAMES = {
 }
 
 
-def distance_to_set(space: GroundSpace, x: str, members: Sequence[str]) -> float:
-    """Euclidean distance from a point to a nonempty point set."""
-    if not members:
-        raise ValidationError("distance to the empty set is undefined")
-    return _distance_to_set(map(space.coords, members), space.coords(x))
-
-
 @dataclass(frozen=True)
 class KappaCandidate:
     """A named (point, set) -> real functional on one ground space.
 
-    ``metric_derived`` marks candidates whose point dependence is meant
-    to respect the space metric; only those face the K3 Lipschitz check.
+    It faces the K3 Lipschitz check exactly when its space has
+    coordinates.
     """
 
     name: str
     space: GroundSpace
     rho: Callable[[str, tuple[str, ...]], float]
-    metric_derived: bool = True
 
 
 def distance_candidate(space: GroundSpace) -> KappaCandidate:
@@ -126,7 +118,7 @@ def check_kappa_axioms(
     rho = candidate.rho
     pids = list(space.point_ids)
     n = len(pids)
-    check_k3 = candidate.metric_derived and space.has_coords
+    check_k3 = space.has_coords
 
     counterexamples: dict[str, dict | None] = {k: None for k in AXIOM_NAMES}
 

@@ -117,9 +117,6 @@ class IdempotentMeasure:
 
     __call__ = integrate
 
-    def is_dirac(self) -> bool:
-        return len(self._idx) == 1
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IdempotentMeasure):
             return NotImplemented
@@ -324,26 +321,6 @@ def make_measure(
     pairs = list(raw_atoms)
     ids, weights = zip(*pairs) if pairs else ((), ())
     return IdempotentMeasure._trusted(space, *_build(space, ids, weights, normalize))
-
-
-def measure_equal(mu: IdempotentMeasure, nu: IdempotentMeasure, tol: float = 0.0) -> bool:
-    """Same support and weights within tol (tol 0 = atom-exact)."""
-    return max_weight_gap(mu, nu) <= tol
-
-
-UNBOUNDED = math.inf
-"""Support-cardinality bound standing for "no bound"."""
-
-
-def card_class(mu: IdempotentMeasure, bound: float) -> bool:
-    """Whether the support size is within the given bound.
-
-    ``UNBOUNDED`` always holds; integer bounds pick out the measures of
-    support cardinality at most that integer.
-    """
-    if bound != UNBOUNDED and (bound != int(bound) or bound < 1):
-        raise ValidationError(f"cardinality bound must be a positive integer or UNBOUNDED, got {bound!r}")
-    return len(mu) <= bound
 
 
 def max_weight_gap(mu: IdempotentMeasure, nu: IdempotentMeasure) -> float:

@@ -30,4 +30,4 @@ def choose(rng: np.random.Generator, items: list):
 def subset(rng: np.random.Generator, items: list, k: int) -> list:
     """k distinct items, chosen without replacement, in original order."""
     idx = rng.choice(len(items), size=k, replace=False)
-    return [items[i] for i in sorted(int(i) for i in idx)]
+    return [items[i] for i in sorted(idx.tolist())]

@@ -268,15 +268,16 @@ def run_functor(trials: int = 500, seed: int = 0) -> SuiteReport:
         if pushforward(identity_map(sx), mu) != mu:
             report.fail(t, "identity", inputs, "mu", "changed by identity pushforward")
 
-        direct = pushforward(compose(g, f), mu)
-        staged = pushforward(g, pushforward(f, mu))
+        gf = compose(g, f)
+        image_mu = pushforward(f, mu)
+        direct = pushforward(gf, mu)
+        staged = pushforward(g, image_mu)
         if direct != staged:
             report.fail(t, "composition", inputs, _measure_dict(direct), _measure_dict(staged))
 
-        if not (support_image_check(f, mu) and support_image_check(compose(g, f), mu)):
+        if not (support_image_check(f, mu) and support_image_check(gf, mu)):
             report.fail(t, "support_image", inputs, "support equals image of support", "mismatch")
 
-        image_mu = pushforward(f, mu)
         for _ in range(3):
             phi = _random_table(rng, sy)
             # Exact: each side rounds w + phi(f x) once per atom, and since

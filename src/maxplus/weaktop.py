@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import DenseSetTooCoarseError, ValidationError
-from .ground import FunctionTable, GroundSpace, _nearest, _require_same_space
+from .ground import FunctionTable, _nearest, _require_same_space
 from .measures import IdempotentMeasure, make_measure
 
 
@@ -57,12 +57,6 @@ class WeakNeighborhood:
         return all(d < self.epsilon for d in self.discrepancies(nu))
 
 
-def nearest_dense_point(space: GroundSpace, dense_ordered: Sequence[str], pid: str) -> str:
-    """The dense point nearest to ``pid``; ties go to the earliest in space order."""
-    target = space.coords(pid)
-    return dense_ordered[_nearest([space.coords(y) for y in dense_ordered], target)]
-
-
 def approximate_on_dense(
     mu: IdempotentMeasure,
     dense: Iterable[str],
@@ -98,34 +92,3 @@ def approximate_on_dense(
     if not worst < epsilon:
         raise DenseSetTooCoarseError(worst, epsilon)
     return nu
-
-
-def convergence_tail(
-    sequence: Sequence[IdempotentMeasure],
-    nbhd: WeakNeighborhood,
-) -> int | None:
-    """Start index of the longest all-contained tail, or None if there is none.
-
-    A finite sequence stands in for a net: it "converges into" the
-    neighborhood when some nonempty tail lies entirely inside, i.e. when
-    its final element does.
-    """
-    if not sequence:
-        raise ValidationError("convergence is undefined for an empty sequence")
-    start = None
-    for i in range(len(sequence) - 1, -1, -1):
-        if not nbhd.contains(sequence[i]):
-            break
-        start = i
-    return start
-
-
-def converges(
-    sequence: Sequence[IdempotentMeasure],
-    limit: IdempotentMeasure,
-    tests: Sequence[FunctionTable],
-    epsilon: float,
-) -> bool:
-    """Whether some tail of the sequence stays inside the limit's neighborhood."""
-    nbhd = WeakNeighborhood(limit, tuple(tests), epsilon)
-    return convergence_tail(sequence, nbhd) is not None

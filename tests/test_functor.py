@@ -13,7 +13,6 @@ from maxplus import (
     Point,
     PointMap,
     SpaceMismatchError,
-    canonical_lift,
     check_fiber_bounds,
     compose,
     fiber_inf,
@@ -81,7 +80,7 @@ def test_pushforward_duality(mu):
 
 
 # ---------------------------------------------------------------------------
-# Preimage membership and canonical lift
+# Preimage membership and lifts
 # ---------------------------------------------------------------------------
 
 
@@ -100,28 +99,14 @@ def test_preimage_contains_tolerance():
     assert preimage_contains(F, nu, nearly, tol=1e-12)
 
 
-def test_canonical_lift_oracle():
-    # every source point inherits the weight of its image
-    nu = IdempotentMeasure(Y, {"u": 0.0, "v": -1.0})
-    mu = canonical_lift(F, nu)
-    assert dict(mu.atoms()) == {"a": 0.0, "b": 0.0, "c": -1.0}
-    assert preimage_contains(F, nu, mu)
-    assert pushforward(F, mu) == nu
-
-
-def test_canonical_lift_is_pointwise_maximal():
-    nu = IdempotentMeasure(Y, {"u": 0.0, "v": -1.0})
-    top = canonical_lift(F, nu)
-    other = sample_preimage(F, nu, seed=11)
-    assert all(other.weight(x) <= top.weight(x) for x in X.point_ids)
-
-
-def test_canonical_lift_impossible_without_fiber():
+def test_lift_impossible_without_fiber():
     z_space = GroundSpace("Z", [Point("z0"), Point("z1")])
     g = PointMap(X, z_space, {"a": "z0", "b": "z0", "c": "z0"})
     nu = IdempotentMeasure(z_space, {"z0": 0.0, "z1": -1.0})
     with pytest.raises(LiftImpossibleError):
-        canonical_lift(g, nu)
+        sample_preimage(g, nu, seed=0)
+    with pytest.raises(LiftImpossibleError):
+        lift_toward(g, IdempotentMeasure.dirac(X, "a"), nu)
 
 
 @given(st.integers(0, 1000))

@@ -16,12 +16,10 @@ from maxplus import (
     UnknownPointError,
     ValidationError,
     WeakNeighborhood,
-    canonical_lift,
     combine,
     compose,
     constant_table,
     distance,
-    fiber,
     fiber_points,
     fiber_sup,
     identity_map,
@@ -228,17 +226,15 @@ def test_map_totality_and_codomain(abc_space, uv_space):
 def test_map_fibers_and_image(abc_space, uv_space):
     f = PointMap(abc_space, uv_space, {"a": "u", "b": "u", "c": "v"})
     assert f("a") == "u"
-    assert fiber(f, "u") == frozenset({"a", "b"})
     assert fiber_points(f, "u") == ("a", "b")  # source order
-    assert fiber(f, "v") == frozenset({"c"})
+    assert fiber_points(f, "v") == ("c",)
     assert f.image == frozenset({"u", "v"})
-    assert f.is_surjective
 
 
 def test_map_empty_fiber(abc_space, uv_space):
     f = PointMap(abc_space, uv_space, {"a": "u", "b": "u", "c": "u"})
-    assert not f.is_surjective
-    assert fiber(f, "v") == frozenset()
+    assert f.image == frozenset({"u"})
+    assert fiber_points(f, "v") == ()
     with pytest.raises(EmptyFiberError):
         require_nonempty_fiber(f, "v")
 
@@ -307,7 +303,6 @@ MISMATCHED = {
     "pullback": lambda: pullback(PHI_S2, INTO_S1),
     "pushforward": lambda: pushforward(TO_T_FROM_S2, ON_S1),
     "preimage_contains": lambda: preimage_contains(INTO_S1, ON_S2, IdempotentMeasure.dirac(T, "t")),
-    "canonical_lift": lambda: canonical_lift(INTO_S1, ON_S2),
     "sample_preimage": lambda: sample_preimage(INTO_S1, ON_S2, 0),
     "lift_toward": lambda: lift_toward(TO_T_FROM_S2, ON_S1, IdempotentMeasure.dirac(T, "t")),
     "fiber_sup": lambda: fiber_sup(TO_T_FROM_S2, PHI_S1),

@@ -13,7 +13,6 @@ from maxplus import (
     check_kappa_axioms,
     constant_candidate,
     distance_candidate,
-    distance_to_set,
     squared_distance_candidate,
     uniform_grid_2d,
 )
@@ -30,19 +29,15 @@ PLANE = GroundSpace(
 
 
 # ---------------------------------------------------------------------------
-# distance_to_set
+# Distance to a set
 # ---------------------------------------------------------------------------
 
 
 def test_distance_to_set_oracle():
-    assert distance_to_set(PLANE, "o", ["e1", "e2"]) == 1.0
-    assert distance_to_set(PLANE, "far", ["o"]) == 10.0
-    assert distance_to_set(PLANE, "e1", ["e1", "far"]) == 0.0
-
-
-def test_distance_to_set_rejects_empty():
-    with pytest.raises(ValidationError):
-        distance_to_set(PLANE, "o", [])
+    rho = distance_candidate(PLANE).rho
+    assert rho("o", ("e1", "e2")) == 1.0
+    assert rho("far", ("o",)) == 10.0
+    assert rho("e1", ("e1", "far")) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +88,7 @@ def test_squared_candidate_fails_exactly_continuity():
 def test_continuity_not_evaluated_without_coords():
     bare = GroundSpace("B", [Point("a"), Point("b"), Point("c")])
     rho = lambda x, members: 0.0 if x in members else 1.0
-    candidate = KappaCandidate("indicator", bare, rho, metric_derived=False)
+    candidate = KappaCandidate("indicator", bare, rho)
     report = check_kappa_axioms(candidate, trials=50, seed=1)
     assert report.axioms["K3"]["status"] == "not evaluated"
     # the discrete indicator still satisfies belonging, monotonicity, union
@@ -105,11 +100,13 @@ def test_continuity_not_evaluated_without_coords():
 
 def test_monotonicity_counterexample_detected():
     # shrinks where it should not: value grows when the set grows
+    distance = distance_candidate(PLANE).rho
+
     def rho(x, members):
-        base = distance_to_set(PLANE, x, list(members))
+        base = distance(x, members)
         return base + 0.5 * len(members) if base > 0 else 0.0
 
-    candidate = KappaCandidate("bloater", PLANE, rho, metric_derived=False)
+    candidate = KappaCandidate("bloater", PLANE, rho)
     report = check_kappa_axioms(candidate, trials=300, seed=2)
     assert report.axioms["K2"]["status"] == "fail"
 

@@ -12,10 +12,7 @@ from maxplus import (
     ValidationError,
     WeakNeighborhood,
     approximate_on_dense,
-    convergence_tail,
-    converges,
-    nearest_dense_point,
-    uniform_grid_1d,
+    constant_table,
 )
 from tests.conftest import measures_on, tables_on
 
@@ -84,19 +81,25 @@ def test_discrepancy_is_symmetric_gap():
 # ---------------------------------------------------------------------------
 
 
+def _moved_to(space, dense, pid):
+    """Where :func:`approximate_on_dense` moves a point mass at ``pid``."""
+    mu = IdempotentMeasure.dirac(space, pid)
+    return approximate_on_dense(mu, dense, [constant_table(space, 0.0)], 1.0).support
+
+
 def test_nearest_dense_point_picks_closest():
     space = _segment()
-    assert nearest_dense_point(space, DENSE_1D, "a0") == "g1"  # 0.3 -> 0.25
-    assert nearest_dense_point(space, DENSE_1D, "a1") == "g4"  # 0.9 -> 1.0
-    assert nearest_dense_point(space, DENSE_1D, "g2") == "g2"  # already dense
+    assert _moved_to(space, DENSE_1D, "a0") == ("g1",)  # 0.3 -> 0.25
+    assert _moved_to(space, DENSE_1D, "a1") == ("g4",)  # 0.9 -> 1.0
+    assert _moved_to(space, DENSE_1D, "g2") == ("g2",)  # already dense
 
 
 def test_nearest_dense_point_tie_breaks_to_earliest():
-    # 0.375 sits exactly between representable neighbors 0.25 and 0.5
-    pts = [Point("lo", (0.25,)), Point("hi", (0.5,)), Point("x", (0.375,))]
-    space = GroundSpace("T", pts)
-    assert nearest_dense_point(space, ["lo", "hi"], "x") == "lo"
-    assert nearest_dense_point(space, ["hi", "lo"], "x") == "hi"
+    # 0.375 sits exactly between representable neighbors 0.25 and 0.5;
+    # the earlier of the two in space order wins, whatever the dense order
+    lo, hi, x = Point("lo", (0.25,)), Point("hi", (0.5,)), Point("x", (0.375,))
+    assert _moved_to(GroundSpace("T", [lo, hi, x]), ["hi", "lo"], "x") == ("lo",)
+    assert _moved_to(GroundSpace("T", [hi, lo, x]), ["lo", "hi"], "x") == ("hi",)
 
 
 # ---------------------------------------------------------------------------
@@ -160,42 +163,3 @@ def test_fine_grid_resolves_what_coarse_cannot():
     coarse = [f"g{i}" for i in range(0, n, 25)]  # pitch 0.25
     with pytest.raises(DenseSetTooCoarseError):
         approximate_on_dense(mu, coarse, [table], 0.01)
-
-
-# ---------------------------------------------------------------------------
-# Convergence of finite sequences
-# ---------------------------------------------------------------------------
-
-
-def test_convergence_tail_finds_trailing_run():
-    grid = uniform_grid_1d("G", 5)
-    limit = IdempotentMeasure.dirac(grid, "g2")
-    table = _coordinate_table(grid)
-    nbhd = WeakNeighborhood(limit, (table,), 0.3)
-    seq = [
-        IdempotentMeasure.dirac(grid, "g0"),  # far
-        IdempotentMeasure.dirac(grid, "g2"),  # inside
-        IdempotentMeasure.dirac(grid, "g0"),  # far again
-        IdempotentMeasure.dirac(grid, "g1"),  # inside (0.25 < 0.3)
-        IdempotentMeasure.dirac(grid, "g2"),  # inside
-    ]
-    assert convergence_tail(seq, nbhd) == 3
-    assert converges(seq, limit, [table], 0.3)
-
-
-def test_convergence_fails_when_last_element_outside():
-    grid = uniform_grid_1d("G", 5)
-    limit = IdempotentMeasure.dirac(grid, "g2")
-    table = _coordinate_table(grid)
-    seq = [IdempotentMeasure.dirac(grid, "g2"), IdempotentMeasure.dirac(grid, "g0")]
-    assert not converges(seq, limit, [table], 0.3)
-    nbhd = WeakNeighborhood(limit, (table,), 0.3)
-    assert convergence_tail(seq, nbhd) is None
-
-
-def test_convergence_rejects_empty_sequence():
-    grid = uniform_grid_1d("G", 3)
-    limit = IdempotentMeasure.dirac(grid, "g0")
-    nbhd = WeakNeighborhood(limit, (_coordinate_table(grid),), 0.1)
-    with pytest.raises(ValidationError):
-        convergence_tail([], nbhd)
