@@ -41,13 +41,10 @@ from .ground import (
     Point,
     PointMap,
     compose,
-    constant_table,
     distance,
     fiber_points,
     identity_map,
-    pointwise_max,
     pullback,
-    shift,
     uniform_grid_1d,
     uniform_grid_2d,
 )
@@ -105,7 +102,6 @@ __all__ = [
     "combine",
     "compose",
     "constant_candidate",
-    "constant_table",
     "distance",
     "distance_candidate",
     "fiber_inf",
@@ -116,12 +112,10 @@ __all__ = [
     "make_measure",
     "max_weight_gap",
     "min_plus_functional",
-    "pointwise_max",
     "preimage_contains",
     "pullback",
     "pushforward",
     "sample_preimage",
-    "shift",
     "squared_distance_candidate",
     "sum_functional",
     "support_displacement",

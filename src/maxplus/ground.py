@@ -298,33 +298,6 @@ class FunctionTable:
         return f"FunctionTable({self.space_id!r}, {len(self._v)} values)"
 
 
-def constant_table(space: GroundSpace, value: float) -> FunctionTable:
-    """The constant function table with the given finite value."""
-    v = float(value)
-    if not math.isfinite(v):
-        raise ValidationError(f"constant table value must be finite, got {value!r}")
-    return FunctionTable._trusted(space, np.full(len(space), v))
-
-
-def shift(phi: FunctionTable, value: float) -> FunctionTable:
-    """The table phi + value (max-plus scalar multiple of phi); every sum must stay finite."""
-    v = float(value)
-    if not math.isfinite(v):
-        raise ValidationError(f"shift value must be finite, got {value!r}")
-    with np.errstate(over="ignore"):
-        values = phi._v + v
-    if not np.isfinite(values).all():
-        raise ValidationError(f"shifting a table on space {phi.space_id!r} by {value!r} overflows")
-    return FunctionTable._trusted(phi.space, values)
-
-
-def pointwise_max(phi: FunctionTable, psi: FunctionTable) -> FunctionTable:
-    """The pointwise maximum of two tables on the same space."""
-    _require_same_space(phi._space, psi._space, "pointwise max across spaces")
-    pv, sv = phi._v, psi._v
-    return FunctionTable._trusted(phi.space, np.where(pv >= sv, pv, sv))  # ties keep phi's value
-
-
 class PointMap:
     """Total map between the points of two ground spaces.
 

@@ -7,13 +7,15 @@ Wire formats:
 * function     ``{"space": "X", "values": {"a": 2.0, ...}}``
 * map          ``{"from": "X", "to": "Y", "assign": {"a": "u", ...}}``
 * measure      ``{"space": "X", "atoms": [{"point": "a", "weight": 0.0}, ...]}``
-  (weights are numbers or the string ``"-inf"``, which is trimmed away)
+  (weights are numbers or the string ``"-inf"``, which is trimmed away;
+  a number that overflows to ``-inf`` is an error)
 * dense subset ``{"space": "X", "points": ["g0", "g1", ...]}``
 * tests file   ``[function, ...]`` or ``{"tests": [function, ...]}``
   (a nonempty list of function objects)
 
 Space and point ids must be JSON strings, table values and coordinates
-JSON numbers; nothing is coerced. Schema problems raise
+JSON numbers; nothing is coerced, and ``NaN``, ``Infinity`` and
+``-Infinity``, which are not JSON, are refused. Schema problems raise
 :class:`~maxplus.errors.ValidationError` with the offending key in the
 message.
 
@@ -26,6 +28,7 @@ resolved spaces.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Collection, Iterable, NamedTuple
@@ -39,12 +42,16 @@ from .semiring import weight_from_json
 def load_json_file(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_not_json)
     except OSError as exc:
         raise ValidationError(f"cannot read {path!r}: {exc}") from exc
-    # bad JSON, bytes that are not UTF-8, an integer too long to read, nesting too deep
+    # bad JSON, NaN or Infinity, bytes that are not UTF-8, an integer too long to read, nesting too deep
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"invalid JSON in {path!r}: {exc}") from exc
+
+
+def _not_json(name: str) -> None:
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def _require(obj: Any, key: str, kind: str) -> Any:
@@ -177,6 +184,9 @@ def read_measure(obj: Any) -> Read:
     _expect(points, _STRINGS, "measure atom points")
     space_id = _typed(obj, "space", "measure", str)
     weights = _column(atoms, "weight", "measure atom")
+    if -math.inf in weights:  # a number that overflowed; bottom is only the string "-inf"
+        point = points[weights.index(-math.inf)]
+        raise ValidationError(f"malformed measure atom {point!r}: weight out of float range")
 
     def build(space: GroundSpace) -> IdempotentMeasure:
         return IdempotentMeasure._trusted(space, *_build(space, points, weights, False, weight_from_json))

@@ -50,6 +50,7 @@ from .kappametric import (
 )
 from .measures import (
     IdempotentMeasure,
+    _first_law_failure,
     _integrate_rows,
     check_axioms,
     combine,
@@ -197,32 +198,14 @@ def run_axioms(trials: int = 1000, seed: int = 0, tol: float = 1e-12) -> SuiteRe
         psi = rng.uniform(-10.0, 10.0, (inner, n))
         lam = rng.uniform(-5.0, 5.0, inner)
         eta = rng.uniform(0.0, 5.0, (inner, n))
-        col = lam[:, None]  # tables: constant lam, phi, phi + lam, psi, phi v psi, phi + eta
-        rows = np.concatenate((np.broadcast_to(col, (inner, n)), phi, phi + col,
-                               psi, np.where(phi >= psi, phi, psi), phi + eta))
-        integrals = _integrate_rows(mu, rows).reshape(6, inner)
-        at_lam, m_phi, at_shift, m_psi, at_join, at_above = integrals
-        want_shift = m_phi + lam
-        want_join = np.maximum(m_phi, m_psi)
-        # Homogeneity rounds phi + lam, w + (phi + lam), w + phi and m_phi + lam:
-        # four roundings of magnitudes below 25 here, so the two sides differ
-        # by at most 4 * 2**-53 * 25 < 1.2e-14. The other laws are exact.
-        laws = (  # (check, expected, actual, held), in the order a failing table reports them
-            ("norm", lam, at_lam, at_lam == lam),
-            ("homogeneity", want_shift, at_shift, np.abs(at_shift - want_shift) <= tol),
-            ("max-additivity", want_join, at_join, at_join == want_join),
-            ("order-preservation", m_phi, at_above, at_above >= m_phi),
-        )
-        held = laws[0][3] & laws[1][3] & laws[2][3] & laws[3][3]
-        if held.all():
+        failure = _first_law_failure(phi, psi, lam, lambda rows: _integrate_rows(mu, rows), tol, eta)
+        if failure is None:
             continue
-        i = int(held.argmin())  # the first failing table
-        check, expected, actual, _ = next(law for law in laws if not law[3][i])
-        expected = float(expected[i])
+        _, check, expected, actual = failure
         if check == "order-preservation":
             expected = f">= {expected}"
         inputs = {"measure": _measure_dict(mu), "trial": t}
-        report.fail(t, check, inputs, expected, float(actual[i]))
+        report.fail(t, check, inputs, expected, actual)
 
     witness = _plain_space("B", 2)
     flat = IdempotentMeasure(witness, {"p0": 0.0, "p1": 0.0})

@@ -1,4 +1,9 @@
-"""The batched ``axioms`` suite against the per-table loop it replaced.
+"""The axiom checks against the per-table loops they replaced.
+
+``ref_check_axioms`` spells ``check_axioms`` out one table at a time,
+asking the functional only for the tables a law needs. Both must report
+alike for the two counterfeits and for a true integral, at tolerances
+that make the true integral pass and fail.
 
 ``ref_run_axioms`` spells the suite out one table at a time, with one
 scalar integral per table. Both must print the same report, including
@@ -20,14 +25,15 @@ import numpy as np
 import pytest
 
 from maxplus import (
+    AxiomCheckReport,
     FunctionTable,
     IdempotentMeasure,
     check_axioms,
-    constant_table,
     min_plus_functional,
     suites,
     sum_functional,
 )
+from maxplus.rng import trial_rng
 from maxplus.suites import (
     SuiteReport,
     _failure,
@@ -35,7 +41,42 @@ from maxplus.suites import (
     _plain_space,
 )
 
-# --- reference loop -----------------------------------------------------------
+# --- reference loops ----------------------------------------------------------
+
+
+def ref_check_axioms(functional, space, trials, seed, tol=1e-12, name="functional"):
+    n = len(space)
+    for t in range(trials):
+        rng = trial_rng(seed, t)
+        phi_row = rng.uniform(-10.0, 10.0, n)
+        psi_row = rng.uniform(-10.0, 10.0, n)
+        lam = float(rng.uniform(-5.0, 5.0))
+        phi = FunctionTable._trusted(space, phi_row)
+        psi = FunctionTable._trusted(space, psi_row)
+
+        got_norm = functional(FunctionTable._trusted(space, np.full(n, lam)))
+        if got_norm != lam:
+            return AxiomCheckReport(name, False, t + 1, {
+                "axiom": "norm", "trial": t, "lambda": lam, "expected": lam, "actual": got_norm,
+            })
+
+        base = functional(phi)
+        shifted = functional(FunctionTable._trusted(space, phi_row + lam))
+        if not abs(shifted - (base + lam)) <= tol:
+            return AxiomCheckReport(name, False, t + 1, {
+                "axiom": "homogeneity", "trial": t, "lambda": lam, "phi": dict(phi.values),
+                "expected": base + lam, "actual": shifted,
+            })
+
+        lhs = functional(FunctionTable._trusted(space, np.where(phi_row >= psi_row, phi_row, psi_row)))
+        rhs = max(base, functional(psi))
+        if lhs != rhs:
+            return AxiomCheckReport(name, False, t + 1, {
+                "axiom": "max-additivity", "trial": t, "phi": dict(phi.values),
+                "psi": dict(psi.values), "expected": rhs, "actual": lhs,
+            })
+    return AxiomCheckReport(name, True, trials, None)
+
 
 
 def ref_run_axioms(trials, seed, tol):
@@ -60,7 +101,7 @@ def ref_run_axioms(trials, seed, tol):
             phi = FunctionTable._trusted(space, np.array(phi_row))
             psi = FunctionTable._trusted(space, np.array(psi_row))
 
-            got = mu.integrate(constant_table(space, lam))
+            got = mu.integrate(FunctionTable._trusted(space, np.full(n, lam)))
             if got != lam:
                 report.failures.append(_failure(t, seed, "norm", inputs, lam, got))
                 break
@@ -165,3 +206,21 @@ def test_batched_suite_reports_like_the_table_loop(monkeypatch, seed, setting, t
     got = suites.run_axioms(200, seed, tol)
     assert _text(got) == _text(want)
     assert {f["check"] for f in got.failures} == laws
+
+
+WITNESS = _plain_space("B", 2)
+FUNCTIONALS = {
+    "min-plus": min_plus_functional(IdempotentMeasure(WITNESS, {"p0": 0.0, "p1": 0.0})),
+    "summation": sum_functional(IdempotentMeasure(WITNESS, {"p0": 0.0, "p1": -1.0})),
+    "integral": IdempotentMeasure(WITNESS, {"p0": 0.0, "p1": -1.0}).integrate,
+}
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("tol", [-1.0, 0.0, 1e-12])
+@pytest.mark.parametrize("functional", sorted(FUNCTIONALS))
+def test_check_axioms_reports_like_the_table_loop(functional, tol, seed):
+    f = FUNCTIONALS[functional]
+    want = ref_check_axioms(f, WITNESS, 200, seed, tol, name=functional)
+    got = check_axioms(f, WITNESS, 200, seed, tol, name=functional)
+    assert json.dumps(got.as_dict(), sort_keys=True) == json.dumps(want.as_dict(), sort_keys=True)

@@ -242,12 +242,24 @@ def test_exit_2_on_malformed_measure(files):
     assert "error:" in r.stderr
 
 
+NOT_READ = [  # (option, file text, message): a number that reads as -inf must not drop an atom
+    ("measure", '{"space": "X", "atoms": [{"point": "a", "weight": NaN}]}', "NaN is not a JSON number"),
+    ("measure", '{"space": "X", "atoms": [{"point": "a", "weight": 0.0}, {"point": "b", "weight": -Infinity}]}',
+     "-Infinity is not a JSON number"),
+    ("measure", '{"space": "X", "atoms": [{"point": "a", "weight": 0.0}, {"point": "b", "weight": -1e400}]}',
+     "measure atom 'b': weight out of float range"),
+    ("function", '{"space": "X", "values": {"a": 2.0, "b": Infinity}}', "Infinity is not a JSON number"),
+]
+
+
 def test_exit_2_on_nan_weight(tmp_path, files):
-    bad = tmp_path / "nan.json"
-    bad.write_text('{"space": "X", "atoms": [{"point": "a", "weight": NaN}]}')
-    r = run_cli("integrate", "--measure", str(bad), "--function", files["function"])
-    assert r.returncode == 2
-    assert "error:" in r.stderr and "Traceback" not in r.stderr
+    bad = tmp_path / "bad.json"
+    for option, text, message in NOT_READ:
+        bad.write_text(text)
+        inputs = {**files, option: str(bad)}
+        r = run_cli("integrate", "--measure", inputs["measure"], "--function", inputs["function"])
+        assert r.returncode == 2, text
+        assert message in r.stderr and "Traceback" not in r.stderr, r.stderr
 
 
 @pytest.mark.parametrize("option", ["--alpha", "--beta"])

@@ -18,19 +18,16 @@ from maxplus import (
     WeakNeighborhood,
     combine,
     compose,
-    constant_table,
     distance,
     fiber_points,
     fiber_sup,
     identity_map,
     lift_toward,
     max_weight_gap,
-    pointwise_max,
     preimage_contains,
     pullback,
     pushforward,
     sample_preimage,
-    shift,
     support_displacement,
     uniform_grid_1d,
     uniform_grid_2d,
@@ -194,23 +191,6 @@ def test_table_call_and_eq(abc_space):
         phi("zz")
 
 
-def test_table_helpers(abc_space):
-    phi = FunctionTable(abc_space, {"a": 1.0, "b": 2.0, "c": 3.0})
-    assert constant_table(abc_space, 5.0)("b") == 5.0
-    assert shift(phi, 2.0)("c") == 5.0
-    psi = FunctionTable(abc_space, {"a": 4.0, "b": 0.0, "c": 3.0})
-    top = pointwise_max(phi, psi)
-    assert [top(p) for p in "abc"] == [4.0, 2.0, 3.0]
-
-
-@pytest.mark.parametrize("value", [1e308, -1e308])
-def test_shift_rejects_a_sum_out_of_float_range(abc_space, value):
-    # a table stays finite: one sum overflowing to +inf or -inf is an error
-    phi = FunctionTable(abc_space, {"a": 1e308, "b": -1e308, "c": 0.0})
-    with pytest.raises(ValidationError, match="overflows"):
-        shift(phi, value)
-
-
 # ---------------------------------------------------------------------------
 # PointMap
 # ---------------------------------------------------------------------------
@@ -288,8 +268,8 @@ S2 = GroundSpace("S", ["b", "c"])  # same id, different points
 T = GroundSpace("T", ["t"])
 ON_S1 = IdempotentMeasure.dirac(S1, "b")
 ON_S2 = IdempotentMeasure.dirac(S2, "b")
-PHI_S1 = constant_table(S1, 1.0)
-PHI_S2 = constant_table(S2, 1.0)
+PHI_S1 = FunctionTable(S1, {"a": 1.0, "b": 1.0})
+PHI_S2 = FunctionTable(S2, {"b": 1.0, "c": 1.0})
 TO_T_FROM_S2 = PointMap(S2, T, {"b": "t", "c": "t"})
 INTO_S1 = PointMap(T, S1, {"t": "a"})
 FROM_S2 = PointMap(S2, S2, {"b": "c", "c": "b"})
@@ -298,7 +278,6 @@ MISMATCHED = {
     "integrate": lambda: ON_S1.integrate(PHI_S2),
     "combine": lambda: combine(0.0, ON_S1, 0.0, ON_S2),
     "max_weight_gap": lambda: max_weight_gap(ON_S1, ON_S2),
-    "pointwise_max": lambda: pointwise_max(PHI_S1, PHI_S2),
     "compose": lambda: compose(FROM_S2, INTO_S1),
     "pullback": lambda: pullback(PHI_S2, INTO_S1),
     "pushforward": lambda: pushforward(TO_T_FROM_S2, ON_S1),
@@ -327,6 +306,6 @@ def test_spaces_sharing_an_id_are_unequal():
 def test_equal_copies_of_a_space_are_one_space():
     copy = GroundSpace("S", ["a", "b"])
     assert IdempotentMeasure.dirac(copy, "b") == ON_S1
-    assert ON_S1.integrate(constant_table(copy, 1.0)) == 1.0
+    assert ON_S1.integrate(FunctionTable(copy, {"a": 1.0, "b": 1.0})) == 1.0
     assert pushforward(PointMap(copy, T, {"a": "t", "b": "t"}), ON_S1).support == ("t",)
     assert PointMap(copy, T, {"a": "t", "b": "t"}) == PointMap(S1, T, {"a": "t", "b": "t"})

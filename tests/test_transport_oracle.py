@@ -12,11 +12,11 @@ import math
 from hypothesis import example, given, settings, strategies as st
 
 from maxplus import (
+    FunctionTable,
     GroundSpace,
     IdempotentMeasure,
     PointMap,
     approximate_on_dense,
-    constant_table,
     distance_candidate,
     fiber_points,
     lift_toward,
@@ -167,7 +167,7 @@ def test_transport_and_distances_match_reference_loops(scene):
     for kernel in KERNELS:
         with kernel_path(kernel):
             pushed = pushforward(f, mu)
-            nu = approximate_on_dense(mu, scene["dense"], [constant_table(space, 0.0)], 1.0)
+            nu = approximate_on_dense(mu, scene["dense"], [FunctionTable(space, dict.fromkeys(space.point_ids, 0.0))], 1.0)
             lifted = lift_toward(f, mu, scene["lift_target"])
         assert bits(pushed.atoms()) == bits(ref_pushforward(f, mu))
         assert bits(nu.atoms()) == bits(ref_approximate_on_dense(mu, scene["dense"]))

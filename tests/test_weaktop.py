@@ -12,7 +12,6 @@ from maxplus import (
     ValidationError,
     WeakNeighborhood,
     approximate_on_dense,
-    constant_table,
 )
 from tests.conftest import measures_on, tables_on
 
@@ -84,7 +83,7 @@ def test_discrepancy_is_symmetric_gap():
 def _moved_to(space, dense, pid):
     """Where :func:`approximate_on_dense` moves a point mass at ``pid``."""
     mu = IdempotentMeasure.dirac(space, pid)
-    return approximate_on_dense(mu, dense, [constant_table(space, 0.0)], 1.0).support
+    return approximate_on_dense(mu, dense, [FunctionTable(space, dict.fromkeys(space.point_ids, 0.0))], 1.0).support
 
 
 def test_nearest_dense_point_picks_closest():
