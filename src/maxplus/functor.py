@@ -22,7 +22,7 @@ from .errors import LiftImpossibleError
 from .ground import (
     FunctionTable,
     PointMap,
-    _distance_to_set,
+    _nearest,
     _require_same_space,
     fiber_points,
     require_nonempty_fiber,
@@ -180,12 +180,13 @@ def lift_toward(
     source = f._source
     if not source.has_coords:
         return make_measure(source, ((_lift_fiber(f, y)[0], w) for y, w in target.atoms()))
-    anchors = source._coords_at(base._idx.tolist())
+    anchors = [base.support]
 
-    def gap(x: str) -> float:
-        return _distance_to_set(anchors, source.coords(x))
+    def nearest(y: str) -> str:
+        fiber = _lift_fiber(f, y)
+        return fiber[_nearest(source, fiber, anchors)[0][0]]
 
-    return make_measure(source, ((min(_lift_fiber(f, y), key=gap), w) for y, w in target.atoms()))
+    return make_measure(source, ((nearest(y), w) for y, w in target.atoms()))
 
 
 def support_displacement(base: IdempotentMeasure, other: IdempotentMeasure) -> float:
@@ -196,6 +197,4 @@ def support_displacement(base: IdempotentMeasure, other: IdempotentMeasure) -> f
     subset of the base support.
     """
     _require_same_space(base._space, other._space, "cannot measure displacement across spaces")
-    space = base._space
-    anchors = space._coords_at(base._idx.tolist())
-    return max(_distance_to_set(anchors, c) for c in space._coords_at(other._idx.tolist()))
+    return max(dist for _, dist in _nearest(base._space, base.support, [[p] for p in other.support]))

@@ -5,7 +5,8 @@ Euclidean space; a ``FunctionTable`` is a total real-valued table on a
 space (totality stands in for continuity on a finite discrete model),
 stored as one float64 vector in space order; a ``PointMap`` is a total
 point-to-point map between spaces. All three are immutable after
-construction.
+construction. Every nearest-point question on a space's coordinates is
+answered by one kernel, :func:`_nearest`.
 """
 
 from __future__ import annotations
@@ -41,20 +42,30 @@ class GroundSpace:
     Point ids must be unique; coordinates, when present, must be carried
     by every point, have a common dimension, and be pairwise distinct
     (so the Euclidean distance separates points). A space stores its ids,
-    an id-to-position dict and, with coordinates, one float tuple per
-    point. Checks run on whole columns; points are walked one by one only
-    to convert coordinates that are not all floats, or to name the
-    offender once a check has failed.
+    an id-to-position dict and, with coordinates, one ``(n, d)`` float64
+    array; float tuples for ``math.dist`` are made from it on first need.
+    Checks run on whole columns; points are walked one by one only to
+    convert coordinates that numpy does not take as they are, or to name
+    the offender once a check has failed.
     """
 
-    __slots__ = ("_id", "_ids", "_index", "_coords")
+    __slots__ = ("_id", "_ids", "_index", "_xy", "_by_id")
 
     def __init__(self, space_id: str, points: Iterable[PointLike]):
+        self._setup(space_id, *_split(points))
+
+    @classmethod
+    def _from_columns(cls, space_id: str, ids: list[str], rows: list) -> GroundSpace:
+        """A space from a column of string ids and one of raw coordinates, ``None`` where absent."""
+        space = cls.__new__(cls)
+        space._setup(space_id, ids, None if rows.count(None) == len(rows) else rows)
+        return space
+
+    def _setup(self, space_id: str, ids: list[str], rows: list | None) -> None:
         if type(space_id) is not str:
             raise ValidationError(f"space id must be a string, got {space_id!r}")
         self._id = space_id
-        ids, rows = _split(points)
-        coords = None if rows is None else _coord_rows(rows)
+        xy = None if rows is None else _coord_array(rows)
         if not ids:
             raise ValidationError(f"space {space_id!r} must contain at least one point")
 
@@ -63,17 +74,20 @@ class GroundSpace:
             dup = next(pid for i, pid in enumerate(ids) if index[pid] != i)
             raise ValidationError(f"duplicate point id {dup!r} in space {space_id!r}")
 
-        if coords is not None:
-            if None in coords:
+        if type(xy) is list:  # some point fell off the array path: check the shape point by point
+            if None in xy:
                 raise ValidationError(
                     f"space {space_id!r}: either every point carries coordinates or none does"
                 )
-            dims = set(map(len, coords))
+            dims = set(map(len, xy))
             if len(dims) != 1:
                 raise ValidationError(f"space {space_id!r}: mixed coordinate dimensions {sorted(dims)}")
-            if len(set(coords)) != len(coords):
+            xy = np.array(xy, np.float64)
+        if xy is not None and len(xy) > 1:
+            ordered = xy[np.lexsort(xy.T[::-1])]
+            if (ordered[1:] == ordered[:-1]).all(axis=1).any():
                 seen: dict[tuple[float, ...], str] = {}
-                for pid, c in zip(ids, coords):
+                for pid, c in zip(ids, map(tuple, xy.tolist())):
                     if c in seen:
                         raise ValidationError(
                             f"space {space_id!r}: points {seen[c]!r} and {pid!r} share coordinates {c}"
@@ -82,7 +96,8 @@ class GroundSpace:
 
         self._ids = tuple(ids)
         self._index = index
-        self._coords = coords
+        self._xy = xy
+        self._by_id = None
 
     @property
     def id(self) -> str:
@@ -91,7 +106,7 @@ class GroundSpace:
     @property
     def points(self) -> tuple[Point, ...]:
         """The points as :class:`Point` values, built on each call."""
-        return tuple(map(Point, self._ids, repeat(None) if self._coords is None else self._coords))
+        return tuple(map(Point, self._ids, repeat(None) if self._xy is None else self._tuples().values()))
 
     _points = points  # the name the bench tracer counts points by
 
@@ -101,7 +116,7 @@ class GroundSpace:
 
     @property
     def has_coords(self) -> bool:
-        return self._coords is not None
+        return self._xy is not None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -116,18 +131,18 @@ class GroundSpace:
             raise UnknownPointError(point_id, self._id) from None
 
     def coords(self, point_id: str) -> tuple[float, ...]:
-        if self._coords is None:
-            raise MetricUnavailableError(f"metric unavailable: space {self._id!r} has no coordinates")
         try:
-            return self._coords[self._index[point_id]]
+            return self._tuples()[point_id]
         except KeyError:
             raise UnknownPointError(point_id, self._id) from None
 
-    def _coords_at(self, positions: Iterable[int]) -> list[tuple[float, ...]]:
-        """The coordinates of the points at the given positions."""
-        if self._coords is None:
-            raise MetricUnavailableError(f"metric unavailable: space {self._id!r} has no coordinates")
-        return list(map(self._coords.__getitem__, positions))
+    def _tuples(self) -> dict[str, tuple[float, ...]]:
+        """Each point's coordinates as a float tuple by id, in space order, made on first call."""
+        if self._by_id is None:
+            if self._xy is None:
+                raise MetricUnavailableError(f"metric unavailable: space {self._id!r} has no coordinates")
+            self._by_id = dict(zip(self._ids, zip(*self._xy.T.tolist())))
+        return self._by_id
 
     def ordered(self, point_ids: Iterable[str]) -> list[str]:
         """Sort the given ids by their position in the space (validates membership)."""
@@ -167,18 +182,23 @@ def _split(points: Iterable[PointLike]) -> tuple[list[str], list | None]:
     return list(ids), None if rows.count(None) == len(rows) else list(rows)
 
 
-def _coord_rows(rows: list) -> tuple:
-    """Each raw coordinate sequence as a float tuple, ``None`` kept where absent.
+def _coord_array(rows: list) -> np.ndarray | list:
+    """The raw coordinates as one ``(n, d)`` float64 array, or as float tuples if they do not fit one.
 
-    Lists and tuples of floats that are all non-empty and finite pass in
-    a few whole-column passes. Anything else is converted point by point
-    by :func:`_as_coords`, which raises for the first bad point.
+    One numpy pass takes rows that are all present, non-empty, finite and
+    of one width. Otherwise every row is converted point by point by
+    :func:`_as_coords`, which raises for the first bad point, and the
+    tuples come back (``None`` kept where absent) for the shape checks.
     """
-    if set(map(type, rows)) <= {tuple, list} and set(map(type, chain.from_iterable(rows))) <= {float}:
-        out = tuple(map(tuple, rows))
-        if all(map(math.isfinite, chain.from_iterable(out))) and 0 not in set(map(len, out)):
-            return out
-    return tuple(None if r is None else _as_coords(r) for r in rows)
+    try:
+        (d,) = set(map(len, rows))
+        xy = np.fromiter(chain.from_iterable(rows), np.float64, len(rows) * d).reshape(len(rows), d)
+    except (TypeError, ValueError, OverflowError):  # absent, ragged, not numbers, or an integer too large
+        pass
+    else:
+        if d and np.isfinite(xy).all():
+            return xy
+    return [None if r is None else _as_coords(r) for r in rows]
 
 
 def _as_coords(coords: Sequence[float]) -> tuple[float, ...]:
@@ -212,15 +232,103 @@ def distance(space: GroundSpace, x: str, y: str) -> float:
     return math.dist(space.coords(x), space.coords(y))
 
 
-def _distance_to_set(points: Iterable[Sequence[float]], c: Sequence[float]) -> float:
-    """Euclidean distance from coordinates ``c`` to the nearest of ``points`` (nonempty)."""
-    return min(map(math.dist, points, repeat(c)))
+_FEW_DIST = 1024
+"""Candidate-member pair count up to which :func:`_nearest` loops ``math.dist`` in Python.
+
+The numpy path spends 40 to 100 microseconds in numpy calls whatever the
+size, and the loop about a tenth of a microsecond per pair, so the two
+cost the same between 500 and 1000 pairs. The check suites ask tens of
+thousands of nearest-point questions, none of more than 808 pairs.
+"""
+
+_BLOCK = 1 << 18
+"""Float64 entries per numpy temporary of :func:`_nearest` (2 MB), so a batch never grows peak memory."""
+
+_TINY = 2.0**-500
+"""Absolute slack of the numpy filter.
+
+A square below ``2**-1022`` is off by up to ``2**-1074``, so underflow
+moves an estimated distance in ``d`` dimensions by at most
+``sqrt(d) * 2**-537``.
+"""
 
 
-def _nearest(points: Sequence[Sequence[float]], c: Sequence[float]) -> int:
-    """Index of the point nearest to ``c``; ties go to the earliest point."""
-    ds = list(map(math.dist, points, repeat(c)))
-    return ds.index(min(ds))
+def _nearest(
+    space: GroundSpace, cands: Sequence[str], anchor_sets: Sequence[Sequence[str]]
+) -> list[tuple[int, float]]:
+    """For each anchor set, the candidate nearest to it and its distance.
+
+    ``cands`` and the anchor sets hold point ids of ``space``; the sets
+    are nonempty and all of one size. A candidate's distance to a set is
+    its least ``math.dist`` to a member, and the nearest candidate is the
+    earliest at the least distance, given as its index in ``cands``.
+
+    Up to ``_FEW_DIST`` candidate-member pairs this is a ``math.dist``
+    loop. Above it numpy proposes and ``math.dist`` decides (see
+    :func:`_nearest_columns`); both give the same answer.
+    """
+    if space._xy is None:
+        raise MetricUnavailableError(f"metric unavailable: space {space._id!r} has no coordinates")
+    if len(cands) * len(anchor_sets) * len(anchor_sets[0]) > _FEW_DIST:
+        pos = space._index.__getitem__
+        return _nearest_columns(space._xy, list(map(pos, cands)), [list(map(pos, s)) for s in anchor_sets])
+    coords = space._tuples()
+    points = map(coords.__getitem__, cands)
+    if len(anchor_sets) > 1:  # every anchor set reads them
+        points = list(points)
+    out = []
+    for anchors in anchor_sets:
+        if len(anchors) == 1:
+            ds = list(map(math.dist, repeat(coords[anchors[0]]), points))
+        else:
+            members = list(map(coords.__getitem__, anchors))
+            ds = [min(map(math.dist, members, repeat(p))) for p in points]
+        least = min(ds)
+        out.append((ds.index(least), least))
+    return out
+
+
+def _nearest_columns(
+    xy: np.ndarray, cands: Sequence[int], anchor_sets: Sequence[Sequence[int]]
+) -> list[tuple[int, float]]:
+    """:func:`_nearest` on space positions with a numpy filter, a block of anchor sets at a time.
+
+    numpy estimates each candidate's distance to a set as the least
+    ``sqrt(sum((c - a)**2))`` over its members, which is within
+    ``(d + 4) * 2**-53`` relative of ``math.dist``, plus the underflow
+    bounded by ``_TINY``. So every candidate that ties or beats the
+    nearest has an estimate of at most ``least * (1 + rel) + _TINY``,
+    with ``rel`` some 500 times that gap, and survives the filter;
+    ``math.dist`` then picks among the survivors, the earliest first. A
+    set with an estimate that overflows keeps all its candidates.
+    """
+    cand = xy[cands]
+    anchors = xy[np.array(anchor_sets, np.intp)]
+    (m, d), k = cand.shape, anchors.shape[1]
+    rel = (d + 4) * 2.0**-44
+    per_set = max(1, _BLOCK // (m * k))
+    per_cand = max(1, _BLOCK // k)
+    out: list = []
+    for s0 in range(0, len(anchors), per_set):
+        block = anchors[s0:s0 + per_set]
+        est = np.empty((len(block), m))
+        with np.errstate(over="ignore"):  # a difference or square that overflows is inf
+            for c0 in range(0, m, per_cand):
+                part = cand[c0:c0 + per_cand]
+                sq = sum((part[None, :, None, j] - block[:, None, :, j]) ** 2 for j in range(d))
+                est[:, c0:c0 + per_cand] = sq.min(axis=2)
+        np.sqrt(est, out=est)
+        limit = est.min(axis=1) * (1.0 + rel) + _TINY
+        limit[~np.isfinite(est).all(axis=1)] = math.inf
+        sets, picks = (est <= limit[:, None]).nonzero()
+        members = block.tolist()
+        best: list = [None] * len(block)
+        for s, c, row in zip(sets.tolist(), picks.tolist(), cand[picks].tolist()):
+            dist = min(map(math.dist, members[s], repeat(row)))
+            if best[s] is None or dist < best[s][1]:
+                best[s] = (c, dist)
+        out += best
+    return out
 
 
 def _listed(keys: Iterable) -> list:

@@ -8,7 +8,7 @@ Wire formats:
 * map          ``{"from": "X", "to": "Y", "assign": {"a": "u", ...}}``
 * measure      ``{"space": "X", "atoms": [{"point": "a", "weight": 0.0}, ...]}``
   (weights are numbers or the string ``"-inf"``, which is trimmed away;
-  a number that overflows to ``-inf`` is an error)
+  a number that overflows to ``-inf`` or ``+inf`` is an error)
 * dense subset ``{"space": "X", "points": ["g0", "g1", ...]}``
 * tests file   ``[function, ...]`` or ``{"tests": [function, ...]}``
   (a nonempty list of function objects)
@@ -141,7 +141,7 @@ def space_from_dict(obj: Any) -> GroundSpace:
         for pid, c in zip(ids, coords):
             if c is not None:
                 _expect(c, _NUMBERS, f"space point {pid!r}")
-    return GroundSpace(space_id, zip(ids, coords))
+    return GroundSpace._from_columns(space_id, ids, coords)
 
 
 # --- function tables and tests files ---------------------------------------
@@ -184,8 +184,8 @@ def read_measure(obj: Any) -> Read:
     _expect(points, _STRINGS, "measure atom points")
     space_id = _typed(obj, "space", "measure", str)
     weights = _column(atoms, "weight", "measure atom")
-    if -math.inf in weights:  # a number that overflowed; bottom is only the string "-inf"
-        point = points[weights.index(-math.inf)]
+    if -math.inf in weights or math.inf in weights:  # a number that overflowed; bottom is only the string "-inf"
+        point = next(p for p, w in zip(points, weights) if w in (math.inf, -math.inf))
         raise ValidationError(f"malformed measure atom {point!r}: weight out of float range")
 
     def build(space: GroundSpace) -> IdempotentMeasure:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ValidationError
-from .ground import GroundSpace, _distance_to_set, distance
+from .ground import GroundSpace, _nearest, distance
 from .rng import choose, rand_int, subset, trial_rng
 
 AXIOM_NAMES = {
@@ -48,10 +48,8 @@ class KappaCandidate:
 
 
 def distance_candidate(space: GroundSpace) -> KappaCandidate:
-    coords = {p: space.coords(p) for p in space.point_ids}
-
     def rho(x: str, members: tuple[str, ...]) -> float:
-        return _distance_to_set(map(coords.__getitem__, members), coords[x])
+        return _nearest(space, members, ((x,),))[0][1]
 
     return KappaCandidate("distance", space, rho)
 
@@ -64,10 +62,8 @@ def constant_candidate(space: GroundSpace, value: float = 1.0) -> KappaCandidate
 
 
 def squared_distance_candidate(space: GroundSpace) -> KappaCandidate:
-    coords = {p: space.coords(p) for p in space.point_ids}
-
     def rho(x: str, members: tuple[str, ...]) -> float:
-        return _distance_to_set(map(coords.__getitem__, members), coords[x]) ** 2
+        return _nearest(space, members, ((x,),))[0][1] ** 2
 
     return KappaCandidate("squared-distance", space, rho)
 
@@ -172,7 +168,7 @@ def check_kappa_axioms(
         # K3: 1-Lipschitz in the point argument
         if check_k3:
             x2 = choose(rng, pids)
-            lhs = abs(rho(x, members) - rho(x2, members))
+            lhs = abs(small_val - rho(x2, members))  # small_val is rho(x, members)
             bound = distance(space, x, x2)
             if counterexamples["K3"] is None and not lhs <= bound + tol:
                 counterexamples["K3"] = {

@@ -174,13 +174,17 @@ def _reject(space: GroundSpace, ids: Sequence, weights: Sequence, read) -> None:
 
     Within one atom a weight that ``read`` rejects comes first, then an
     unknown point, then a weight that :func:`scalar` rejects (NaN, +inf,
-    and for library callers any non-number).
+    and for library callers any non-number). A rejected weight is
+    reported with its point.
     """
     for pid, w in zip(ids, weights):
-        if read is not None and type(w) is not float:
-            w = read(w)
-        space.index(pid)  # raises UnknownPointError with context
-        scalar(w)
+        try:
+            if read is not None and type(w) is not float:
+                w = read(w)
+            space.index(pid)  # raises UnknownPointError with context
+            scalar(w)
+        except ScalarError as exc:
+            raise ScalarError(f"measure atom {pid!r}: {exc}") from None
 
 
 _FEW = 64

@@ -80,12 +80,8 @@ def approximate_on_dense(
         raise ValidationError("dense subset must be nonempty")
     nbhd = WeakNeighborhood(mu, tuple(tests), epsilon)
 
-    dense_coords = [space.coords(y) for y in dense_ordered]
-    atom_coords = space._coords_at(mu._idx.tolist())
-    nu = make_measure(
-        space,
-        ((dense_ordered[_nearest(dense_coords, c)], w) for c, w in zip(atom_coords, mu._w.tolist())),
-    )
+    nearest = _nearest(space, dense_ordered, [[x] for x in mu.support])
+    nu = make_measure(space, ((dense_ordered[i], w) for (i, _), w in zip(nearest, mu._w.tolist())))
 
     gaps = nbhd.discrepancies(nu)
     worst = max(gaps)

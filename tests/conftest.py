@@ -1,11 +1,12 @@
 """Shared fixtures and strategy helpers for the test suite."""
 
 import contextlib
+import functools
 
 import pytest
 from hypothesis import settings, strategies as st
 
-from maxplus import FunctionTable, GroundSpace, IdempotentMeasure, Point, measures
+from maxplus import FunctionTable, GroundSpace, IdempotentMeasure, Point, ground, measures
 
 # Tier-1 passes or fails the same way on every run: hypothesis draws from a
 # fixed seed, keeps no example database and times no example.
@@ -31,6 +32,33 @@ def kernel_path(kernel: str):
         yield
     finally:
         measures._FEW = saved
+
+
+@contextlib.contextmanager
+def geometry_path(kernel: str):
+    """Answer every nearest-point question the given way, whatever its size.
+
+    Up to ``ground._FEW_DIST`` candidate-member pairs ``math.dist`` loops
+    in Python; above it numpy filters and ``math.dist`` decides.
+    """
+    saved = ground._FEW_DIST
+    ground._FEW_DIST = 10**9 if kernel == "python" else -1
+    try:
+        yield
+    finally:
+        ground._FEW_DIST = saved
+
+
+def on_both_geometry_paths(test):
+    """Run a test once on each :func:`geometry_path`, under its own name."""
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        for kernel in KERNELS:
+            with geometry_path(kernel):
+                test(*args, **kwargs)
+
+    return run
 
 
 # ---------------------------------------------------------------------------

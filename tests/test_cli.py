@@ -11,6 +11,9 @@ import sys
 
 import pytest
 
+from maxplus import ValidationError
+from maxplus.jsonio import space_from_dict
+
 CMD = [sys.executable, "-m", "maxplus"]
 
 
@@ -248,6 +251,10 @@ NOT_READ = [  # (option, file text, message): a number that reads as -inf must n
      "-Infinity is not a JSON number"),
     ("measure", '{"space": "X", "atoms": [{"point": "a", "weight": 0.0}, {"point": "b", "weight": -1e400}]}',
      "measure atom 'b': weight out of float range"),
+    ("measure", '{"space": "X", "atoms": [{"point": "a", "weight": 0.0}, {"point": "b", "weight": 1e400}]}',
+     "measure atom 'b': weight out of float range"),
+    ("measure", '{"space": "X", "atoms": [{"point": "a", "weight": 1e400}, {"point": "b", "weight": -1e400}]}',
+     "measure atom 'a': weight out of float range"),
     ("function", '{"space": "X", "values": {"a": 2.0, "b": Infinity}}', "Infinity is not a JSON number"),
 ]
 
@@ -541,3 +548,64 @@ def test_stdout_carries_only_json(files):
     r = run_cli("integrate", "--measure", files["measure"], "--function", files["function"])
     json.loads(r.stdout)  # would raise if prose were mixed in
     assert r.stderr  # the human-readable summary goes to stderr
+
+
+def _space_text(*coords):
+    """A space file over points a, b, c, ... with the given raw ``coords`` JSON (None: no key)."""
+    points = ", ".join(
+        f'{{"id": "{pid}"}}' if c is None else f'{{"id": "{pid}", "coords": {c}}}'
+        for pid, c in zip("abcdef", coords)
+    )
+    return f'{{"id": "X", "points": [{points}]}}'
+
+
+SPACE_FAULTS = [  # (space file text, the error it gives on its own)
+    (_space_text("[0.0]", "[0.0, 1.0]", "[1.0, 2.0, 3.0]"), "space 'X': mixed coordinate dimensions [1, 2, 3]"),
+    (_space_text("[0.0, 1.0]", "[2.0]"), "space 'X': mixed coordinate dimensions [1, 2]"),
+    (_space_text("[]", "[]"), "coordinates must be non-empty when present"),
+    (_space_text("[1.0]", "[]"), "coordinates must be non-empty when present"),
+    (_space_text("[0.5, 1.0]", "[0.25, 1.0]", "[0.5, 1.0]"),
+     "space 'X': points 'a' and 'c' share coordinates (0.5, 1.0)"),
+    (_space_text("[0.0]", "[-0.0]"), "space 'X': points 'a' and 'b' share coordinates (-0.0,)"),
+    (_space_text("[0.0]", "[1e400]"), "coordinates must be finite, got (inf,)"),
+    (_space_text("[0.0]", None), "space 'X': either every point carries coordinates or none does"),
+    (_space_text(None, "[0.0]", "[0.0, 1.0]"), "space 'X': either every point carries coordinates or none does"),
+    (_space_text("[0.0]", "[0.0]").replace('"b"', '"a"'), "duplicate point id 'a' in space 'X'"),
+]
+
+
+@pytest.mark.parametrize("text, message", SPACE_FAULTS)
+def test_space_file_faults_keep_their_messages(tmp_path, text, message):
+    with pytest.raises(ValidationError) as exc:
+        space_from_dict(json.loads(text))
+    assert str(exc.value) == message
+
+    space = tmp_path / "space.json"
+    space.write_text(text)
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps({"space": "X", "atoms": [{"point": "a", "weight": 0.0}]}))
+    function = tmp_path / "function.json"
+    function.write_text(json.dumps({"space": "X", "values": {"a": 1.0, "b": 2.0, "c": 3.0}}))
+    r = run_cli("integrate", "--space", str(space), "--measure", str(measure), "--function", str(function))
+    assert r.returncode == 2
+    assert r.stderr.splitlines()[0] == f"error: {message}"
+
+
+def test_integer_coordinates_load_as_floats(tmp_path):
+    text = _space_text("[0, 1]", f"[{2**53 + 1}, -3]", f"[{2**64 + 1}, 0.5]")
+    space = space_from_dict(json.loads(text))
+    assert [space.coords(p) for p in space.point_ids] == [
+        (0.0, 1.0), (float(2**53 + 1), -3.0), (float(2**64 + 1), 0.5)
+    ]
+    path = tmp_path / "space.json"
+    path.write_text(text)
+    dense = tmp_path / "dense.json"
+    dense.write_text(json.dumps({"space": "X", "points": ["a", "c"]}))
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps({"space": "X", "atoms": [{"point": "b", "weight": 0.0}]}))
+    tests = tmp_path / "tests.json"
+    tests.write_text(json.dumps([{"space": "X", "values": {"a": 0.0, "b": 0.0, "c": 0.0}}]))
+    r = run_cli("approx", "--space", str(path), "--measure", str(measure), "--dense", str(dense),
+                "--tests", str(tests), "--eps", "0.5")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["atoms"] == [{"point": "a", "weight": 0.0}]

@@ -27,7 +27,7 @@ from maxplus import (
     support_image_check,
     uniform_grid_1d,
 )
-from tests.conftest import measures_on
+from tests.conftest import measures_on, on_both_geometry_paths
 
 X = GroundSpace("X", [Point("a"), Point("b"), Point("c")])
 Y = GroundSpace("Y", [Point("u"), Point("v")])
@@ -174,6 +174,7 @@ def test_check_fiber_bounds_inapplicable_when_spread():
 # ---------------------------------------------------------------------------
 
 
+@on_both_geometry_paths
 def test_lift_toward_oracle_on_grid():
     # 5-point grid projecting to a single target; base sits at 0.5, the
     # target atom should come back at the grid point nearest the base.
@@ -187,6 +188,7 @@ def test_lift_toward_oracle_on_grid():
     assert support_displacement(base, lifted) == 0.0
 
 
+@on_both_geometry_paths
 def test_lift_toward_tie_breaks_to_earliest():
     # 0.25 and 0.75 are equidistant from base at 0.5 after excluding g2;
     # the earlier point wins.
@@ -209,6 +211,7 @@ def test_lift_toward_without_coords_uses_earliest():
     assert lifted.support == ("a",)
 
 
+@on_both_geometry_paths
 def test_lift_toward_keeps_weights_and_pushes_back():
     grid = uniform_grid_1d("G", 5)
     two = GroundSpace("T", [Point("s"), Point("t")])
@@ -222,6 +225,7 @@ def test_lift_toward_keeps_weights_and_pushes_back():
     assert dict(lifted.atoms()) == {"g1": 0.0, "g3": -2.0}
 
 
+@on_both_geometry_paths
 def test_support_displacement_one_sided():
     grid = uniform_grid_1d("G", 5)
     wide = IdempotentMeasure(grid, {"g0": 0.0, "g4": 0.0})

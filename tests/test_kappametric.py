@@ -16,6 +16,7 @@ from maxplus import (
     squared_distance_candidate,
     uniform_grid_2d,
 )
+from tests.conftest import on_both_geometry_paths
 
 PLANE = GroundSpace(
     "P",
@@ -33,6 +34,7 @@ PLANE = GroundSpace(
 # ---------------------------------------------------------------------------
 
 
+@on_both_geometry_paths
 def test_distance_to_set_oracle():
     rho = distance_candidate(PLANE).rho
     assert rho("o", ("e1", "e2")) == 1.0

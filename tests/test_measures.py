@@ -199,6 +199,31 @@ def test_weights_and_coefficients_share_one_scalar_rule(build, bad, message):
         build(bad)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: IdempotentMeasure(SPACE, {"a": 0.0, "b": bad}),
+        lambda bad: IdempotentMeasure.from_weights(SPACE, {"a": -1.0, "b": bad}),
+        lambda bad: make_measure(SPACE, [("a", 0.0), ("b", bad), ("c", math.nan)]),
+    ],
+    ids=["init", "from_weights", "make_measure"],
+)
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (math.nan, "max-plus scalar must be finite or -inf, got nan"),
+        (math.inf, "max-plus scalar must be finite or -inf, got inf"),
+        (10**400, "max-plus scalar out of float range"),
+        (None, "not a max-plus scalar: None"),
+    ],
+    ids=["nan", "plus-inf", "int-overflow", "none"],
+)
+def test_bad_weight_names_its_atom(build, bad, message):
+    with pytest.raises(ScalarError) as exc:
+        build(bad)
+    assert str(exc.value).startswith(f"measure atom 'b': {message}")
+
+
 BAD_ATOMS = {  # one bad atom each, with the error it raises on its own
     "unknown-point": (("zz", 0.0), UnknownPointError, "unknown point 'zz'"),
     "nan": (("a", math.nan), ScalarError, "must be finite or -inf, got nan"),

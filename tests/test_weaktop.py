@@ -13,7 +13,7 @@ from maxplus import (
     WeakNeighborhood,
     approximate_on_dense,
 )
-from tests.conftest import measures_on, tables_on
+from tests.conftest import measures_on, on_both_geometry_paths, tables_on
 
 SPACE = GroundSpace("X", [Point("a"), Point("b"), Point("c")])
 DENSE_1D = [f"g{i}" for i in range(5)]
@@ -86,6 +86,7 @@ def _moved_to(space, dense, pid):
     return approximate_on_dense(mu, dense, [FunctionTable(space, dict.fromkeys(space.point_ids, 0.0))], 1.0).support
 
 
+@on_both_geometry_paths
 def test_nearest_dense_point_picks_closest():
     space = _segment()
     assert _moved_to(space, DENSE_1D, "a0") == ("g1",)  # 0.3 -> 0.25
@@ -93,6 +94,7 @@ def test_nearest_dense_point_picks_closest():
     assert _moved_to(space, DENSE_1D, "g2") == ("g2",)  # already dense
 
 
+@on_both_geometry_paths
 def test_nearest_dense_point_tie_breaks_to_earliest():
     # 0.375 sits exactly between representable neighbors 0.25 and 0.5;
     # the earlier of the two in space order wins, whatever the dense order
@@ -106,6 +108,7 @@ def test_nearest_dense_point_tie_breaks_to_earliest():
 # ---------------------------------------------------------------------------
 
 
+@on_both_geometry_paths
 def test_approximate_oracle():
     space = _segment()
     mu = IdempotentMeasure(space, {"a0": 0.0, "a1": -2.0})
@@ -114,6 +117,7 @@ def test_approximate_oracle():
     assert set(nu.support) <= set(DENSE_1D)
 
 
+@on_both_geometry_paths
 def test_approximate_raises_when_too_coarse():
     space = _segment()
     mu = IdempotentMeasure(space, {"a0": 0.0, "a1": -2.0})
@@ -124,6 +128,7 @@ def test_approximate_raises_when_too_coarse():
     assert 0.01 <= err.worst_discrepancy <= 0.06
 
 
+@on_both_geometry_paths
 def test_approximate_merges_collisions_by_max():
     pts = [Point("g", (0.0,)), Point("x", (0.1,)), Point("y", (-0.1,))]
     space = GroundSpace("M", pts)
@@ -140,6 +145,7 @@ def test_approximate_requires_dense_subset():
         approximate_on_dense(mu, [], [_coordinate_table(space)], 0.1)
 
 
+@on_both_geometry_paths
 def test_approximate_identity_when_supported_on_dense():
     space = _segment()
     mu = IdempotentMeasure(space, {"g1": 0.0, "g3": -0.5})
