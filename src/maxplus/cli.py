@@ -89,7 +89,7 @@ def _load(args, **readers) -> list:
         if sid not in spaces:
             if not pts:
                 raise ValidationError(f"cannot infer space {sid!r}: no points referenced; supply --space")
-            spaces[sid] = GroundSpace(sid, sorted(set(pts)))
+            spaces[sid] = GroundSpace(sid, sorted(dict.fromkeys(pts)))
     return [read.build(*map(spaces.__getitem__, read.space_ids)) for read in reads]
 
 

@@ -15,6 +15,9 @@ On a finite discrete model every subset is closed, so candidates face no
 closedness side conditions. The reference candidate is the Euclidean
 distance to the set; deliberately broken candidates (constant, squared
 distance) are provided as negative controls.
+
+Each trial's points and sets are drawn apart from any candidate, so the
+two negative controls of ``check kappa`` share one stream of draws.
 """
 
 from __future__ import annotations
@@ -108,23 +111,78 @@ def check_kappa_axioms(
     calls (each within one ulp) and a subtraction let the gap exceed the
     distance by up to ``7 * 2**-53 * m``, ``m`` the largest distance.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be at least 1, got {trials}")
-    space = candidate.space
-    rho = candidate.rho
+    return _check_kappa((candidate,), trials, seed, tol)[0]
+
+
+def _kappa_draws(space: GroundSpace, trials: int, seed: int):
+    """Yield ``(t, x, members, inside, outside, grown, x2, chain)`` for each trial.
+
+    Trial ``t`` draws from its own ``trial_rng(seed, t)``, in this order:
+    the point ``x``; the set ``members`` and a member ``inside``; if
+    ``members`` leaves points out, a point ``outside`` of it and a
+    superset ``grown``; on a space with coordinates, a second point
+    ``x2``; then a base set grown twice into the three-link ``chain``.
+    ``outside`` and ``x2`` are ``None`` where nothing is drawn. A set that
+    gains no point is the very object it grew from: ``grown is members``,
+    or a link ``is`` the link before it. No draw reads a candidate, so
+    one stream serves every candidate on the space.
+    """
     pids = list(space.point_ids)
     n = len(pids)
-    check_k3 = space.has_coords
 
-    counterexamples: dict[str, dict | None] = {k: None for k in AXIOM_NAMES}
+    def rest(base):
+        return [p for p in pids if p not in base]
+
+    def grow(rng, base, room):
+        add = rand_int(rng, 0, len(room)) if room else 0
+        if not add:
+            return base
+        return tuple(space.ordered(set(base) | set(subset(rng, room, add))))
 
     for t in range(trials):
         rng = trial_rng(seed, t)
         x = choose(rng, pids)
         members = tuple(subset(rng, pids, rand_int(rng, 1, n)))
+        inside = choose(rng, members)
+        outside = None
+        grown = members
+        complement = rest(members)
+        if complement:
+            outside = choose(rng, complement)
+            grown = grow(rng, members, complement)
+        x2 = choose(rng, pids) if space.has_coords else None
+        base = tuple(subset(rng, pids, rand_int(rng, 1, n)))
+        middle = grow(rng, base, rest(base))
+        chain = (base, middle, grow(rng, middle, rest(middle)))
+        yield t, x, members, inside, outside, grown, x2, chain
 
+
+def _check_kappa(
+    candidates: tuple[KappaCandidate, ...], trials: int, seed: int, tol: float
+) -> list[KappaAxiomReport]:
+    """Check candidates on one space against one stream of draws, each on its own.
+
+    Each report equals the one ``check_kappa_axioms`` gives the candidate
+    alone. A candidate is a function of (point, set), so a set that did
+    not grow is not evaluated again: K2's grown set and K4's later links
+    are evaluated only if they grew, and K3 reuses K2's
+    ``rho(x, members)``. Laws whose drawn points coincide (``x`` is
+    ``inside``, say) each evaluate their own.
+    """
+    if trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}")
+    space = candidates[0].space
+    draws = list(_kappa_draws(space, trials, seed))
+    return [_check_candidate(candidate, draws, tol) for candidate in candidates]
+
+
+def _check_candidate(candidate: KappaCandidate, draws: list, tol: float) -> KappaAxiomReport:
+    space = candidate.space
+    rho = candidate.rho
+    counterexamples: dict[str, dict | None] = {k: None for k in AXIOM_NAMES}
+
+    for t, x, members, inside, outside, grown, x2, chain in draws:
         # K1, membership side: zero on members
-        inside = choose(rng, list(members))
         val = rho(inside, members)
         if counterexamples["K1"] is None and val != 0.0:
             counterexamples["K1"] = {
@@ -135,9 +193,7 @@ def check_kappa_axioms(
                 "detail": "nonzero on a member of the set",
             }
         # K1, converse side: strictly positive off the set
-        complement = [p for p in pids if p not in members]
-        if complement:
-            outside = choose(rng, complement)
+        if outside is not None:
             val = rho(outside, members)
             if counterexamples["K1"] is None and not val > 0.0:
                 counterexamples["K1"] = {
@@ -149,12 +205,8 @@ def check_kappa_axioms(
                 }
 
         # K2: growing the set cannot grow the value
-        extra = rand_int(rng, 0, len(complement)) if complement else 0
-        grown = members
-        if extra:
-            grown = tuple(space.ordered(set(members) | set(subset(rng, complement, extra))))
         small_val = rho(x, members)
-        big_val = rho(x, grown)
+        big_val = small_val if grown is members else rho(x, grown)
         if counterexamples["K2"] is None and not big_val <= small_val:
             counterexamples["K2"] = {
                 "trial": t,
@@ -166,8 +218,7 @@ def check_kappa_axioms(
             }
 
         # K3: 1-Lipschitz in the point argument
-        if check_k3:
-            x2 = choose(rng, pids)
+        if x2 is not None:
             lhs = abs(small_val - rho(x2, members))  # small_val is rho(x, members)
             bound = distance(space, x, x2)
             if counterexamples["K3"] is None and not lhs <= bound + tol:
@@ -181,29 +232,22 @@ def check_kappa_axioms(
                 }
 
         # K4: along an increasing chain, the union (last link) attains the min
-        chain = [tuple(subset(rng, pids, rand_int(rng, 1, n)))]
-        for _ in range(2):
-            prev = chain[-1]
-            room = [p for p in pids if p not in prev]
-            add = rand_int(rng, 0, len(room)) if room else 0
-            nxt = prev
-            if add:
-                nxt = tuple(space.ordered(set(prev) | set(subset(rng, room, add))))
-            chain.append(nxt)
-        chain_vals = [rho(x, link) for link in chain]
-        union_val = chain_vals[-1]
-        if counterexamples["K4"] is None and union_val != min(chain_vals):
+        base, middle, union = chain
+        base_val = rho(x, base)
+        middle_val = base_val if middle is base else rho(x, middle)
+        union_val = middle_val if union is middle else rho(x, union)
+        if counterexamples["K4"] is None and union_val != min(base_val, middle_val, union_val):
             counterexamples["K4"] = {
                 "trial": t,
                 "point": x,
                 "chain": [list(link) for link in chain],
-                "chain_values": chain_vals,
+                "chain_values": [base_val, middle_val, union_val],
                 "union_value": union_val,
             }
 
     axioms = {}
     for key, human in AXIOM_NAMES.items():
-        if key == "K3" and not check_k3:
+        if key == "K3" and not space.has_coords:
             status = "not evaluated"
         elif counterexamples[key] is None:
             status = "pass"
@@ -214,4 +258,4 @@ def check_kappa_axioms(
             "status": status,
             "counterexample": counterexamples[key],
         }
-    return KappaAxiomReport(candidate.name, trials, axioms)
+    return KappaAxiomReport(candidate.name, len(draws), axioms)

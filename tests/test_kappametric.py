@@ -13,7 +13,9 @@ from maxplus import (
     check_kappa_axioms,
     constant_candidate,
     distance_candidate,
+    kappametric,
     squared_distance_candidate,
+    suites,
     uniform_grid_2d,
 )
 from tests.conftest import on_both_geometry_paths
@@ -138,3 +140,68 @@ def test_determinism_of_reports():
     a = check_kappa_axioms(squared_distance_candidate(PLANE), trials=100, seed=4)
     b = check_kappa_axioms(squared_distance_candidate(PLANE), trials=100, seed=4)
     assert a.as_dict() == b.as_dict()
+
+
+# ---------------------------------------------------------------------------
+# One stream of draws, one value per set
+# ---------------------------------------------------------------------------
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def counting_candidate(space):
+    calls = []
+    distance = distance_candidate(space).rho
+
+    def rho(x, members):
+        calls.append((x, members))
+        return distance(x, members)
+
+    return KappaCandidate("counted", space, rho), calls
+
+
+def test_candidates_on_one_space_share_one_stream(monkeypatch):
+    built = count_calls(monkeypatch, kappametric, "trial_rng")
+    reports = kappametric._check_kappa(
+        (distance_candidate(PLANE), squared_distance_candidate(PLANE)), 25, 3, 1e-12
+    )
+    assert len(built) == 25
+    assert [r.candidate for r in reports] == ["distance", "squared-distance"]
+
+
+def test_run_kappa_draws_each_trial_once(monkeypatch):
+    trials = 3
+    built = count_calls(monkeypatch, kappametric, "trial_rng")
+    built_by_suite = count_calls(monkeypatch, suites, "trial_rng")
+    suites.run_kappa(trials=trials, seed=0)
+    # outer trials and the witness, ten inner trials per space, one shared
+    # stream of 1000 for the two counterfeits
+    assert len(built) + len(built_by_suite) == trials + 10 * trials + 1000 + 1
+
+
+def test_a_set_that_did_not_grow_is_not_evaluated_again():
+    space = uniform_grid_2d("G", 2)
+    shapes = set()
+    for seed in range(40):
+        candidate, calls = counting_candidate(space)
+        kappametric._check_kappa((candidate,), 1, seed, 1e-12)
+        [(_, _, members, _, outside, grown, x2, (base, middle, union))] = (
+            kappametric._kappa_draws(space, 1, seed)
+        )
+        grew = grown is not members
+        # inside, x and the chain's base always; the rest only where drawn or grown
+        assert len(calls) == 3 + (outside is not None) + grew + (x2 is not None) + (
+            middle is not base) + (union is not middle)
+        if outside is not None:
+            shapes.add(grew)
+    assert shapes == {False, True}  # extra == 0 costs one call fewer than a grown set

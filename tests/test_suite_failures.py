@@ -1,11 +1,11 @@
 """Pinned reports of the seven ``check`` suites, passing and failing.
 
-The passing ``check`` stdout at seed 0 must hash to the SHA-256 that
-``bench/digests.json`` records. Then each suite runs under an injected
-fault (a library function patched in the ``suites`` namespace, or, for
-the two suites with a bounded check, a tolerance) so that its checks
-fail, and the whole report, failure records and per-check counters
-included, is pinned by the SHA-256 of
+The passing ``check`` stdout at seed 0 (and at seeds 0-3 for ``kappa``)
+must hash to the SHA-256 that ``bench/digests.json`` records. Then each
+suite runs under an injected fault (a library function patched in the
+``suites`` namespace, or, for the two suites with a bounded check, a
+tolerance) so that its checks fail, and the whole report, failure
+records and per-check counters included, is pinned by the SHA-256 of
 ``json.dumps(report.to_json_dict(), sort_keys=True, indent=2)``. Every
 check name a suite can report appears in at least one pinned report.
 Faults of one ulp or 1e-12 show that the exact checks stay exact, also
@@ -56,11 +56,16 @@ def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("suite", sorted(suites.SUITES))
-def test_passing_stdout_matches_recorded_digest(monkeypatch, capsys, suite):
+# Seed 0 of every suite, and seeds 1-3 of ``kappa``, whose draws are made
+# apart from its checks and shared by its two counterfeits.
+DIGEST_RUNS = [(suite, 0) for suite in sorted(suites.SUITES)] + [("kappa", s) for s in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("suite, seed", DIGEST_RUNS, ids=[s if n == 0 else f"{s}-seed{n}" for s, n in DIGEST_RUNS])
+def test_passing_stdout_matches_recorded_digest(monkeypatch, capsys, suite, seed):
     monkeypatch.delenv("MAXPLUS_TOL", raising=False)
-    want = json.loads(DIGESTS.read_text(encoding="utf-8"))[suite]["0"]
-    assert main(["check", suite, "--seed", "0"]) == 0
+    want = json.loads(DIGESTS.read_text(encoding="utf-8"))[suite][str(seed)]
+    assert main(["check", suite, "--seed", str(seed)]) == 0
     assert _sha256(capsys.readouterr().out) == want
 
 
@@ -217,6 +222,11 @@ def kappa_counterfeits_are_distance(monkeypatch):
     monkeypatch.setattr(suites, "squared_distance_candidate", suites.distance_candidate)
 
 
+def kappa_squared_is_distance(monkeypatch):
+    """Only the second of the two counterfeits that share one stream of draws made honest."""
+    monkeypatch.setattr(suites, "squared_distance_candidate", suites.distance_candidate)
+
+
 # (case, suite, tol, fault, checks the report names, SHA-256). The tolerance is
 # None for the suites whose checks are all exact, which take none.
 CASES = [
@@ -278,6 +288,9 @@ CASES = [
     ("honest-counterfeits", "kappa", 1e-12, kappa_counterfeits_are_distance,
      {"counterfeit-constant", "counterfeit-squared"},
      "4c18908dfbe7b4bbe5fe78cd7b006ed1fb1dae6d5df9b16131c83a3e67a37153"),
+    ("one-honest-counterfeit", "kappa", 1e-12, kappa_squared_is_distance,
+     {"counterfeit-squared"},
+     "a8a32310b3c3e2fdb905c87cefd6c9fa260e9f1ecdb6a031be843b40cca34592"),
 ]
 
 
