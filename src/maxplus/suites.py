@@ -342,22 +342,24 @@ def run_convexity(trials: int = 500, seed: int = 0) -> SuiteReport:
 
 # --- density of dense-supported measures --------------------------------------
 
-def _lipschitz_table(rng, space: GroundSpace, grid_ids, grid_coords, atom_ids) -> FunctionTable:
-    """A random 1-Lipschitz table: a bounded-step walk on the grid,
-    extended to off-grid points by the tightest 1-Lipschitz extension."""
-    n = len(grid_ids)
-    pitch = grid_coords[1] - grid_coords[0]
-    steps = rng.uniform(-pitch, pitch, n - 1).tolist()
-    values = {}
-    v = rand_uniform(rng, -5.0, 5.0)
-    values[grid_ids[0]] = v
-    for g, s in zip(grid_ids[1:], steps):
-        v = v + s
-        values[g] = v
-    for a in atom_ids:
-        c = space.coords(a)[0]
-        values[a] = min(values[g] + abs(c - x) for g, x in zip(grid_ids, grid_coords))
-    return FunctionTable._trusted(space, np.array([values[p] for p in space.point_ids]))
+def _lipschitz_table(rng, space: GroundSpace, grid: np.ndarray, atoms: np.ndarray) -> FunctionTable:
+    """A random 1-Lipschitz table on ``space``, whose points are the grid, then the atoms.
+
+    The walk on the grid is one ``np.add.accumulate``, which adds strictly
+    left to right: each value is the running sum ``v = v + s``. Each atom
+    takes the tightest 1-Lipschitz extension, the min over the grid of
+    ``walk + |c - x|``; the min never rounds. Ties cannot change the bits:
+    ``abs`` never returns ``-0.0`` and ``x + (+0.0)`` is never ``-0.0``, so
+    no sum is ``-0.0`` and equal minima are equal bits.
+    """
+    n = len(grid)
+    pitch = grid[1] - grid[0]
+    walk = np.empty(n)
+    walk[1:] = rng.uniform(-pitch, pitch, n - 1)
+    walk[0] = rand_uniform(rng, -5.0, 5.0)
+    np.add.accumulate(walk, out=walk)
+    extension = (walk + np.abs(atoms[:, None] - grid)).min(axis=1)
+    return FunctionTable._trusted(space, np.concatenate([walk, extension]))
 
 
 def run_density(trials: int = 200, seed: int = 0) -> SuiteReport:
@@ -376,6 +378,7 @@ def run_density(trials: int = 200, seed: int = 0) -> SuiteReport:
     pitch = 1.0 / (n_grid - 1)
     grid_ids = tuple(f"g{i}" for i in range(n_grid))
     grid_coords = tuple(i * pitch for i in range(n_grid))
+    grid = np.array(grid_coords)
 
     for t in range(trials):
         rng = trial_rng(seed, t)
@@ -396,10 +399,8 @@ def run_density(trials: int = 200, seed: int = 0) -> SuiteReport:
         mu = IdempotentMeasure(space, _random_weights(rng, atom_ids))
 
         k = rand_int(rng, 1, 5)
-        tests = [
-            _lipschitz_table(rng, space, grid_ids, grid_coords, atom_ids)
-            for _ in range(k)
-        ]
+        atoms = np.array(atom_coords)
+        tests = [_lipschitz_table(rng, space, grid, atoms) for _ in range(k)]
         eps = epsilons[t % 2]
         def inputs():
             return {"trial": t, "epsilon": eps, "atoms": dict(mu.atoms()), "tables": k}

@@ -114,6 +114,22 @@ def test_pushforward(files):
     assert out == {"space": "Y", "atoms": [{"point": "u", "weight": 0.0}]}
 
 
+def test_pushforward_map_keys_out_of_space_order(tmp_path):
+    def dump(name, obj):
+        p = tmp_path / name
+        p.write_text(json.dumps(obj))
+        return str(p)
+
+    space = dump("x.json", {"id": "X", "points": [{"id": p} for p in "abc"]})
+    out_of_order = dump("map.json", {"from": "X", "to": "Y", "assign": {"c": "v", "a": "u", "b": "u"}})
+    measure = dump("mu.json", {"space": "X", "atoms": [{"point": "a", "weight": -1.0}, {"point": "c", "weight": 0.0}]})
+    expected = {"space": "Y", "atoms": [{"point": "u", "weight": -1.0}, {"point": "v", "weight": 0.0}]}
+    for extra in (["--space", space], []):  # given space, then an inferred (sorted) one
+        r = run_cli("pushforward", "--map", out_of_order, "--measure", measure, *extra)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout) == expected
+
+
 def test_combine(files):
     r = run_cli(
         "combine", "--alpha=-1", "--beta", "0",

@@ -211,6 +211,19 @@ def test_map_fibers_and_image(abc_space, uv_space):
     assert f.image == frozenset({"u", "v"})
 
 
+def test_map_keys_out_of_source_order(abc_space, uv_space):
+    in_order = PointMap(abc_space, uv_space, {"a": "u", "b": "u", "c": "v"})
+    f = PointMap(abc_space, uv_space, {"c": "v", "a": "u", "b": "u"})
+    assert list(f.assign) == ["a", "b", "c"]  # stored in source order
+    assert [f(p) for p in "abc"] == ["u", "u", "v"]
+    assert fiber_points(f, "u") == ("a", "b") and fiber_points(f, "v") == ("c",)
+    assert f == in_order
+    mu = IdempotentMeasure(abc_space, {"a": -1.0, "c": 0.0})
+    assert pushforward(f, mu).atoms() == pushforward(in_order, mu).atoms() == [("u", -1.0), ("v", 0.0)]
+    psi = FunctionTable(uv_space, {"u": 10.0, "v": 20.0})
+    assert [pullback(psi, f)(p) for p in "abc"] == [10.0, 10.0, 20.0]
+
+
 def test_map_empty_fiber(abc_space, uv_space):
     f = PointMap(abc_space, uv_space, {"a": "u", "b": "u", "c": "u"})
     assert f.image == frozenset({"u"})

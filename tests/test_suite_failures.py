@@ -1,15 +1,17 @@
 """Pinned reports of the seven ``check`` suites, passing and failing.
 
-The passing ``check`` stdout at seed 0 (and at seeds 0-3 for ``kappa``)
-must hash to the SHA-256 that ``bench/digests.json`` records. Then each
-suite runs under an injected fault (a library function patched in the
-``suites`` namespace, or, for the two suites with a bounded check, a
-tolerance) so that its checks fail, and the whole report, failure
+The passing ``check`` stdout at seed 0 (and at seeds 0-3 for ``kappa`` and
+``density``) must hash to the SHA-256 that ``bench/digests.json`` records.
+Then each suite runs under an injected fault (a library function patched
+in the ``suites`` namespace, or, for the two suites with a bounded check,
+a tolerance) so that its checks fail, and the whole report, failure
 records and per-check counters included, is pinned by the SHA-256 of
 ``json.dumps(report.to_json_dict(), sort_keys=True, indent=2)``. Every
 check name a suite can report appears in at least one pinned report.
 Faults of one ulp or 1e-12 show that the exact checks stay exact, also
-through ``maxplus check`` with any tolerance.
+through ``maxplus check`` with any tolerance. The ``tight-eps`` density
+report records the worst discrepancy of every trial, so it pins the bits
+of the density test tables too.
 """
 
 import hashlib
@@ -57,8 +59,11 @@ def _sha256(text):
 
 
 # Seed 0 of every suite, and seeds 1-3 of ``kappa``, whose draws are made
-# apart from its checks and shared by its two counterfeits.
-DIGEST_RUNS = [(suite, 0) for suite in sorted(suites.SUITES)] + [("kappa", s) for s in (1, 2, 3)]
+# apart from its checks and shared by its two counterfeits, and of
+# ``density``, whose test tables are built as whole columns.
+DIGEST_RUNS = [(suite, 0) for suite in sorted(suites.SUITES)] + [
+    (suite, s) for suite in ("kappa", "density") for s in (1, 2, 3)
+]
 
 
 @pytest.mark.parametrize("suite, seed", DIGEST_RUNS, ids=[s if n == 0 else f"{s}-seed{n}" for s, n in DIGEST_RUNS])
@@ -124,6 +129,16 @@ def approximation_too_coarse(monkeypatch):
             if len(mu) > 3:
                 raise DenseSetTooCoarseError(float(len(mu)), eps)
             return real(mu, dense, tests, eps)
+        return approximate_on_dense
+    _wrap(monkeypatch, "approximate_on_dense", make)
+
+
+def approximation_at_tight_eps(monkeypatch):
+    """The real approximation at a thousandth of the epsilon: every trial is
+    refused, and each record carries the worst discrepancy the test tables give."""
+    def make(real):
+        def approximate_on_dense(mu, dense, tests, eps):
+            return real(mu, dense, tests, eps / 1000)
         return approximate_on_dense
     _wrap(monkeypatch, "approximate_on_dense", make)
 
@@ -271,6 +286,8 @@ CASES = [
      "1f2e538178a46d04259a569676fb31bc96a3ab448751803c77d34d4bfed6e846"),
     ("too-coarse", "density", None, approximation_too_coarse, {"approximation"},
      "c139b6c7ff5be0dc20c670af5cc2efbffd4a436ac2d9201a772814a501d04a07"),
+    ("tight-eps", "density", None, approximation_at_tight_eps, {"approximation"},
+     "465054c4c5afbfa3a39a49b1308c51c4f7f876b618c103263d58a5076227a325"),
     ("first-dense-point", "density", None, approximation_is_first_dense_point,
      {"containment", "coarseness_demo"},
      "d3de2e8ecc8e8fda4b1da9423bf71c8cd21238d1d3d76163704cf86fcbf50d4b"),
