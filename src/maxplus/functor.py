@@ -39,12 +39,16 @@ def _require_target_measure(f: PointMap, nu: IdempotentMeasure) -> None:
     _require_same_space(nu._space, f._target, "measure does not live on the map target")
 
 
-def _lift_fiber(f: PointMap, y: str) -> tuple[str, ...]:
-    """The fiber over a point that carries mass to be lifted; an empty fiber raises."""
-    pts = fiber_points(f, y)
-    if not pts:
+def _lift_fiber(f: PointMap, j: int) -> list[int]:
+    """The fiber, as source positions, over target position ``j``, which carries mass to be lifted.
+
+    An empty fiber raises.
+    """
+    fiber = f._fiber_pos[j]
+    if not fiber:
+        y = f._target._ids[j]
         raise LiftImpossibleError(f"lift impossible: point {y!r} carries mass but has no preimage")
-    return pts
+    return fiber
 
 
 def pushforward(f: PointMap, mu: IdempotentMeasure) -> IdempotentMeasure:
@@ -88,15 +92,16 @@ def sample_preimage(f: PointMap, nu: IdempotentMeasure, seed: int) -> Idempotent
     """
     _require_target_measure(f, nu)
     rng = trial_rng(seed, 0)
+    ids = f._source._ids
     pairs: list[tuple[str, float]] = []
-    for y, w in nu.atoms():
-        pts = _lift_fiber(f, y)
+    for j, w in zip(nu._idx.tolist(), nu._w.tolist()):
+        pts = _lift_fiber(f, j)
         designated = pts[rand_int(rng, 0, len(pts) - 1)]
         for x in pts:
             if x == designated:
-                pairs.append((x, w))
+                pairs.append((ids[x], w))
             elif float(rng.uniform(0.0, 1.0)) >= 0.5:
-                pairs.append((x, w - float(rng.uniform(0.0, 5.0))))
+                pairs.append((ids[x], w - float(rng.uniform(0.0, 5.0))))
     return make_measure(f._source, pairs)
 
 
@@ -178,15 +183,12 @@ def lift_toward(
     _require_source_measure(f, base)
     _require_target_measure(f, target)
     source = f._source
-    if not source.has_coords:
-        return make_measure(source, ((_lift_fiber(f, y)[0], w) for y, w in target.atoms()))
-    anchors = [base.support]
-
-    def nearest(y: str) -> str:
-        fiber = _lift_fiber(f, y)
-        return fiber[_nearest(source, fiber, anchors)[0][0]]
-
-    return make_measure(source, ((nearest(y), w) for y, w in target.atoms()))
+    anchors = [base._idx.tolist()]
+    picks = []
+    for j in target._idx.tolist():
+        fiber = _lift_fiber(f, j)
+        picks.append(fiber[_nearest(source, fiber, anchors)[0][0]] if source.has_coords else fiber[0])
+    return IdempotentMeasure._trusted(source, *_merge(source, picks, target._w.tolist()))
 
 
 def support_displacement(base: IdempotentMeasure, other: IdempotentMeasure) -> float:
@@ -197,4 +199,5 @@ def support_displacement(base: IdempotentMeasure, other: IdempotentMeasure) -> f
     subset of the base support.
     """
     _require_same_space(base._space, other._space, "cannot measure displacement across spaces")
-    return max(dist for _, dist in _nearest(base._space, base.support, [[p] for p in other.support]))
+    nearest = _nearest(base._space, base._idx.tolist(), [[p] for p in other._idx.tolist()])
+    return max(dist for _, dist in nearest)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
@@ -43,13 +44,14 @@ class GroundSpace:
     by every point, have a common dimension, and be pairwise distinct
     (so the Euclidean distance separates points). A space stores its ids,
     an id-to-position dict and, with coordinates, one ``(n, d)`` float64
-    array; float tuples for ``math.dist`` are made from it on first need.
+    array; float tuples for ``math.dist``, one per position, are made
+    from it on first need.
     Checks run on whole columns; points are walked one by one only to
     convert coordinates that numpy does not take as they are, or to name
     the offender once a check has failed.
     """
 
-    __slots__ = ("_id", "_ids", "_index", "_xy", "_by_id")
+    __slots__ = ("_id", "_ids", "_index", "_xy", "_rows")
 
     def __init__(self, space_id: str, points: Iterable[PointLike]):
         self._setup(space_id, *_split(points))
@@ -97,7 +99,7 @@ class GroundSpace:
         self._ids = tuple(ids)
         self._index = index
         self._xy = xy
-        self._by_id = None
+        self._rows = None
 
     @property
     def id(self) -> str:
@@ -106,7 +108,7 @@ class GroundSpace:
     @property
     def points(self) -> tuple[Point, ...]:
         """The points as :class:`Point` values, built on each call."""
-        return tuple(map(Point, self._ids, repeat(None) if self._xy is None else self._tuples().values()))
+        return tuple(map(Point, self._ids, repeat(None) if self._xy is None else self._tuples()))
 
     _points = points  # the name the bench tracer counts points by
 
@@ -131,18 +133,19 @@ class GroundSpace:
             raise UnknownPointError(point_id, self._id) from None
 
     def coords(self, point_id: str) -> tuple[float, ...]:
+        rows = self._tuples()
         try:
-            return self._tuples()[point_id]
+            return rows[self._index[point_id]]
         except KeyError:
             raise UnknownPointError(point_id, self._id) from None
 
-    def _tuples(self) -> dict[str, tuple[float, ...]]:
-        """Each point's coordinates as a float tuple by id, in space order, made on first call."""
-        if self._by_id is None:
+    def _tuples(self) -> list[tuple[float, ...]]:
+        """Each point's coordinates as a float tuple, by position, made on first call."""
+        if self._rows is None:
             if self._xy is None:
                 raise MetricUnavailableError(f"metric unavailable: space {self._id!r} has no coordinates")
-            self._by_id = dict(zip(self._ids, zip(*self._xy.T.tolist())))
-        return self._by_id
+            self._rows = list(zip(*self._xy.T.tolist()))
+        return self._rows
 
     def ordered(self, point_ids: Iterable[str]) -> list[str]:
         """Sort the given ids by their position in the space (validates membership)."""
@@ -254,11 +257,11 @@ moves an estimated distance in ``d`` dimensions by at most
 
 
 def _nearest(
-    space: GroundSpace, cands: Sequence[str], anchor_sets: Sequence[Sequence[str]]
+    space: GroundSpace, cands: Sequence[int], anchor_sets: Sequence[Sequence[int]]
 ) -> list[tuple[int, float]]:
     """For each anchor set, the candidate nearest to it and its distance.
 
-    ``cands`` and the anchor sets hold point ids of ``space``; the sets
+    ``cands`` and the anchor sets hold positions in ``space``; the sets
     are nonempty and all of one size. A candidate's distance to a set is
     its least ``math.dist`` to a member, and the nearest candidate is the
     earliest at the least distance, given as its index in ``cands``.
@@ -270,8 +273,7 @@ def _nearest(
     if space._xy is None:
         raise MetricUnavailableError(f"metric unavailable: space {space._id!r} has no coordinates")
     if len(cands) * len(anchor_sets) * len(anchor_sets[0]) > _FEW_DIST:
-        pos = space._index.__getitem__
-        return _nearest_columns(space._xy, list(map(pos, cands)), [list(map(pos, s)) for s in anchor_sets])
+        return _nearest_columns(space._xy, cands, anchor_sets)
     coords = space._tuples()
     points = map(coords.__getitem__, cands)
     if len(anchor_sets) > 1:  # every anchor set reads them
@@ -291,7 +293,7 @@ def _nearest(
 def _nearest_columns(
     xy: np.ndarray, cands: Sequence[int], anchor_sets: Sequence[Sequence[int]]
 ) -> list[tuple[int, float]]:
-    """:func:`_nearest` on space positions with a numpy filter, a block of anchor sets at a time.
+    """:func:`_nearest` with a numpy filter, a block of anchor sets at a time.
 
     numpy estimates each candidate's distance to a set as the least
     ``sqrt(sum((c - a)**2))`` over its members, which is within
@@ -339,8 +341,12 @@ def _listed(keys: Iterable) -> list:
         return sorted(keys, key=lambda k: (type(k).__name__, repr(k)))
 
 
-def _not_total(ids, keys) -> str:
-    return f"missing {_listed(ids - keys)}, extraneous {_listed(keys - ids)}"
+def _require_total(space: GroundSpace, mapping: Mapping, what: str) -> None:
+    """The keys of ``mapping`` must be the space's points, each once."""
+    ids, keys = space._index.keys(), mapping.keys()
+    if keys != ids:
+        missing, extra = _listed(ids - keys), _listed(keys - ids)
+        raise ValidationError(f"{what} is not total: missing {missing}, extraneous {extra}")
 
 
 class FunctionTable:
@@ -349,14 +355,10 @@ class FunctionTable:
     __slots__ = ("_space", "_v")
 
     def __init__(self, space: GroundSpace, values: Mapping[str, float]):
-        ids = space._index.keys()
-        if values.keys() != ids:
-            raise ValidationError(
-                f"function table on space {space.id!r} is not total: {_not_total(ids, values.keys())}"
-            )
         where = f"function table on space {space.id!r}"
-        column = [values[p] for p in space._ids]
-        if not set(map(type, column)) <= {float}:
+        column = list(map(values.get, space._ids))  # None for a point the table lacks
+        if len(values) != len(column) or not set(map(type, column)) <= {float}:
+            _require_total(space, values, where)
             try:
                 column = [float(v) for v in column]
             except (TypeError, ValueError) as exc:
@@ -409,37 +411,53 @@ class FunctionTable:
 class PointMap:
     """Total map between the points of two ground spaces.
 
-    It keeps the assignment and ``_tpos``, the target position of every
-    source point in source order, which pullback and pushforward gather
-    through; the fibers are built when first asked for.
+    It keeps ``_tpos``, the target position of every source point in
+    source order, which pullback and pushforward gather through. The
+    assignment, the image and the fibers are made from it when first
+    asked for.
     """
 
     def __init__(self, source: GroundSpace, target: GroundSpace, assign: Mapping[str, str]):
-        ids = source._index.keys()
-        if assign.keys() != ids:
-            raise ValidationError(f"map from {source.id!r} is not total: {_not_total(ids, assign.keys())}")
-        assigned = {x: assign[x] for x in source._ids}
+        targets = map(assign.get, source._ids)  # None for a point the map lacks, which is no target point
         try:
-            tpos = list(map(target._index.__getitem__, assigned.values()))
+            tpos = np.fromiter(map(target._index.__getitem__, targets), np.intp, len(source._ids))
         except KeyError:
-            y = next(y for y in assigned.values() if y not in target._index)
+            tpos = None
+        if tpos is None or len(assign) != len(tpos):
+            _require_total(source, assign, f"map from {source.id!r}")
+            y = next(y for y in map(assign.__getitem__, source._ids) if y not in target._index)
             raise UnknownPointError(y, target.id) from None
         self._source = source
         self._target = target
-        self._assign = assigned
-        self._tpos = np.array(tpos, np.intp)
-        self._image = frozenset(assigned.values())
-        self._fiber_cache: dict[str, tuple[str, ...]] | None = None
+        self._tpos = tpos
 
-    @property
+    @classmethod
+    def _trusted(cls, source: GroundSpace, target: GroundSpace, tpos: np.ndarray) -> PointMap:
+        # internal fast path: one target position per source point, in source order
+        obj = cls.__new__(cls)
+        obj._source = source
+        obj._target = target
+        obj._tpos = tpos
+        return obj
+
+    @cached_property
+    def _assign(self) -> dict[str, str]:
+        """The assignment as a dict in source order."""
+        return dict(zip(self._source._ids, map(self._target._ids.__getitem__, self._tpos.tolist())))
+
+    @cached_property
+    def _fiber_pos(self) -> list[list[int]]:
+        """Each target position's preimage as source positions, in source order."""
+        fibers: list[list[int]] = [[] for _ in self._target._ids]
+        for i, t in enumerate(self._tpos.tolist()):
+            fibers[t].append(i)
+        return fibers
+
+    @cached_property
     def _fibers(self) -> dict[str, tuple[str, ...]]:
-        """Each target point's preimage in source order, built on first use."""
-        if self._fiber_cache is None:
-            fibers: list[list[str]] = [[] for _ in self._target._ids]
-            for x, t in zip(self._source._ids, self._tpos.tolist()):
-                fibers[t].append(x)
-            self._fiber_cache = dict(zip(self._target._ids, map(tuple, fibers)))
-        return self._fiber_cache
+        """Each target point's preimage in source order."""
+        ids = self._source._ids.__getitem__
+        return dict(zip(self._target._ids, (tuple(map(ids, p)) for p in self._fiber_pos)))
 
     @property
     def source(self) -> GroundSpace:
@@ -465,6 +483,10 @@ class PointMap:
     def image(self) -> frozenset[str]:
         return self._image
 
+    @cached_property
+    def _image(self) -> frozenset[str]:
+        return frozenset(map(self._target._ids.__getitem__, self._tpos.tolist()))
+
     def __call__(self, point_id: str) -> str:
         try:
             return self._assign[point_id]
@@ -477,7 +499,7 @@ class PointMap:
         return (
             _same_space(self._source, other._source)
             and _same_space(self._target, other._target)
-            and self._assign == other._assign
+            and self._tpos.tolist() == other._tpos.tolist()
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -497,11 +519,11 @@ def fiber_points(f: PointMap, y: str) -> tuple[str, ...]:
 def compose(g: PointMap, f: PointMap) -> PointMap:
     """The composite map ``g after f``."""
     _require_same_space(f._target, g._source, "cannot compose: inner target is not outer source")
-    return PointMap(f.source, g.target, {x: g._assign[y] for x, y in f._assign.items()})
+    return PointMap._trusted(f._source, g._target, g._tpos[f._tpos])
 
 
 def identity_map(space: GroundSpace) -> PointMap:
-    return PointMap(space, space, {p: p for p in space.point_ids})
+    return PointMap._trusted(space, space, np.arange(len(space._ids), dtype=np.intp))
 
 
 def pullback(phi: FunctionTable, f: PointMap) -> FunctionTable:

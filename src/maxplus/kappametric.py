@@ -51,8 +51,10 @@ class KappaCandidate:
 
 
 def distance_candidate(space: GroundSpace) -> KappaCandidate:
+    pos = space._index.__getitem__
+
     def rho(x: str, members: tuple[str, ...]) -> float:
-        return _nearest(space, members, ((x,),))[0][1]
+        return _nearest(space, list(map(pos, members)), ((pos(x),),))[0][1]
 
     return KappaCandidate("distance", space, rho)
 
@@ -65,8 +67,10 @@ def constant_candidate(space: GroundSpace, value: float = 1.0) -> KappaCandidate
 
 
 def squared_distance_candidate(space: GroundSpace) -> KappaCandidate:
+    pos = space._index.__getitem__
+
     def rho(x: str, members: tuple[str, ...]) -> float:
-        return _nearest(space, members, ((x,),))[0][1] ** 2
+        return _nearest(space, list(map(pos, members)), ((pos(x),),))[0][1] ** 2
 
     return KappaCandidate("squared-distance", space, rho)
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import DenseSetTooCoarseError, ValidationError
 from .ground import FunctionTable, _nearest, _require_same_space
-from .measures import IdempotentMeasure, make_measure
+from .measures import IdempotentMeasure, _merge
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,13 @@ def approximate_on_dense(
     reporting the worst test discrepancy.
     """
     space = mu.space
-    dense_ordered = space.ordered(set(dense))
-    if not dense_ordered:
+    dense_pos = sorted(map(space.index, dict.fromkeys(dense)))  # an unknown id: the first in input order
+    if not dense_pos:
         raise ValidationError("dense subset must be nonempty")
     nbhd = WeakNeighborhood(mu, tuple(tests), epsilon)
 
-    nearest = _nearest(space, dense_ordered, [[x] for x in mu.support])
-    nu = make_measure(space, ((dense_ordered[i], w) for (i, _), w in zip(nearest, mu._w.tolist())))
+    nearest = _nearest(space, dense_pos, [[i] for i in mu._idx.tolist()])
+    nu = IdempotentMeasure._trusted(space, *_merge(space, [dense_pos[i] for i, _ in nearest], mu._w.tolist()))
 
     gaps = nbhd.discrepancies(nu)
     worst = max(gaps)

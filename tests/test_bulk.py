@@ -2,7 +2,8 @@
 
 ``bench/bulk.py`` writes the input files and computes each reference
 independently with numpy; every item runs in process through
-``cli.main`` and its stdout must pass ``bulk.verify``.
+``cli.main``, its stdout must pass ``bulk.verify``, and its exit code
+and stderr must be the ones in ``STDERR``.
 """
 
 import sys
@@ -20,6 +21,16 @@ SMALL = bulk.Sizes(
     approx_tests=3, lift_side=30, lift_base=16, lift_target=10,
 )
 
+# the exit code and stderr of each item on the seed-0 inputs at SMALL sizes
+STDERR = {
+    "cold": (0, "integral of the table against the measure: 7.57758857857943\n"),
+    "integrate": (0, "integral of the table against the measure: 9.9251233281625\n"),
+    "pushforward": (0, "pushforward onto 'Y': 100 atoms\n"),
+    "combine": (0, "combination on 'X': 2000 atoms\n"),
+    "approx": (0, "approximation landed inside epsilon 0.01: worst discrepancy 0.002230702523815964\n"),
+    "lift": (0, "lift onto 'Q': 10 atoms, displacement 0.27586206896551724\n"),
+}
+
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
@@ -28,5 +39,7 @@ def inputs(tmp_path_factory):
 
 @pytest.mark.parametrize("item", bulk.ITEMS)
 def test_bulk_item_matches_reference(inputs, item, capsys):
-    assert main(inputs.argv[item]) == 0
-    assert bulk.verify(item, capsys.readouterr().out, inputs.expected)
+    code = main(inputs.argv[item])
+    out, err = capsys.readouterr()
+    assert bulk.verify(item, out, inputs.expected)
+    assert (code, err) == STDERR[item]

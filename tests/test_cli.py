@@ -4,6 +4,9 @@ Spawning ``python3 -m maxplus`` keeps these tests honest about exit
 codes, stream separation, and environment handling.
 """
 
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
@@ -11,7 +14,7 @@ import sys
 
 import pytest
 
-from maxplus import ValidationError
+from maxplus import ValidationError, cli
 from maxplus.jsonio import space_from_dict
 
 CMD = [sys.executable, "-m", "maxplus"]
@@ -539,6 +542,52 @@ def test_duplicate_space_files_rejected(files):
         "--tests", files["tests1d"], "--eps", "0.1",
     )
     assert r.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# The collector during file commands
+# ---------------------------------------------------------------------------
+
+
+def gc_cases(files):
+    """A file command per exit code: a result, malformed input, a dense set too coarse."""
+    return {
+        0: ["integrate", "--measure", files["measure"], "--function", files["function"]],
+        2: ["integrate", "--measure", files["broken"], "--function", files["function"]],
+        1: ["approx", "--measure", files["mu_offgrid"], "--dense", files["dense"], "--tests", files["tests1d"],
+            "--eps", "0.01", "--space", files["space"]],
+    }
+
+
+def quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+@pytest.mark.parametrize("enabled", (True, False), ids=("caller-enabled", "caller-disabled"))
+def test_file_commands_pause_the_collector_and_restore_it(files, monkeypatch, enabled):
+    seen = []
+    for name in ("cmd_integrate", "cmd_approx"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda args, real=real: seen.append(gc.isenabled()) or real(args))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for code, argv in gc_cases(files).items():
+            assert quiet_main(argv) == code
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False, False]
+
+
+def test_check_leaves_the_collector_alone(monkeypatch):
+    def untouchable():
+        raise AssertionError("check must not switch the collector")
+
+    monkeypatch.setattr(gc, "disable", untouchable)
+    monkeypatch.setattr(gc, "enable", untouchable)
+    assert quiet_main(["check", "openmap", "--trials", "2"]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import re
+from collections import defaultdict
 
 import pytest
 
@@ -170,6 +171,26 @@ def test_table_totality_message_lists_missing_and_extraneous_ids(abc_space):
 )
 def test_totality_message_with_keys_of_mixed_types(abc_space, uv_space, build, message):
     # keys that do not compare are listed by type name, then repr, not a bare TypeError
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        build(abc_space, uv_space)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda s, t: FunctionTable(s, {"a": 0.0, "b": 1.0, "z": 2.0}),
+         "function table on space 'X' is not total: missing ['c'], extraneous ['z']"),
+        (lambda s, t: FunctionTable(s, defaultdict(float, {"a": 1.0, "b": 2.0, "z": 3.0})),
+         "function table on space 'X' is not total: missing ['c'], extraneous ['z']"),
+        (lambda s, t: PointMap(s, t, {"a": "u", "b": "u", "z": "v"}),
+         "map from 'X' is not total: missing ['c'], extraneous ['z']"),
+        (lambda s, t: PointMap(s, t, defaultdict(lambda: "u", {"a": "u", "z": "v", "b": "v"})),
+         "map from 'X' is not total: missing ['c'], extraneous ['z']"),
+    ],
+    ids=["table", "table-defaultdict", "map", "map-defaultdict"],
+)
+def test_totality_with_as_many_keys_as_points(abc_space, uv_space, build, message):
+    # a point the mapping lacks reads as no value, not as a default, and totality is reported first
     with pytest.raises(ValidationError, match=re.escape(message)):
         build(abc_space, uv_space)
 

@@ -208,6 +208,11 @@ def ref_nearest(space, cands, anchor_sets):
     return out
 
 
+def at(space, cands, anchor_sets):
+    """The kernel's arguments for questions given in point ids: the same points as positions."""
+    return [space.index(p) for p in cands], [[space.index(p) for p in s] for s in anchor_sets]
+
+
 def extreme_case(seed: str, scale: float, dim: int, ties: bool):
     """A random nearest-point question on coordinates of the given scale.
 
@@ -244,7 +249,7 @@ def test_nearest_kernel_matches_math_dist_loop_at_float_extremes(scale, dim):
         want = [(j, d.hex()) for j, d in ref_nearest(space, cands, anchor_sets)]
         for geometry in KERNELS:
             with geometry_path(geometry):
-                got = [(j, d.hex()) for j, d in ground._nearest(space, cands, anchor_sets)]
+                got = [(j, d.hex()) for j, d in ground._nearest(space, *at(space, cands, anchor_sets))]
             assert got == want, (geometry, cands, anchor_sets)
 
 
@@ -279,7 +284,7 @@ def test_nearest_kernel_keeps_what_numpy_misorders(case):
         assert want[0][0] == 0
         for geometry in KERNELS:
             with geometry_path(geometry):
-                assert ground._nearest(space, ["c1", "c2"], anchor_sets) == want, geometry
+                assert ground._nearest(space, *at(space, ["c1", "c2"], anchor_sets)) == want, geometry
 
 
 @pytest.mark.parametrize("block", (1, 5, 64, 1 << 18))
@@ -289,5 +294,5 @@ def test_nearest_kernel_answers_the_same_in_any_block_size(monkeypatch, block):
     for i in range(40):
         space, cands, anchor_sets = extreme_case(f"block/{i}", 1.0, 1 + i % 3, ties=i % 2 == 0)
         with geometry_path("numpy"):
-            got = ground._nearest(space, cands, anchor_sets)
+            got = ground._nearest(space, *at(space, cands, anchor_sets))
         assert got == ref_nearest(space, cands, anchor_sets)

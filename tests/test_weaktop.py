@@ -9,6 +9,7 @@ from maxplus import (
     GroundSpace,
     IdempotentMeasure,
     Point,
+    UnknownPointError,
     ValidationError,
     WeakNeighborhood,
     approximate_on_dense,
@@ -143,6 +144,15 @@ def test_approximate_requires_dense_subset():
     mu = IdempotentMeasure.dirac(space, "a0")
     with pytest.raises(ValidationError):
         approximate_on_dense(mu, [], [_coordinate_table(space)], 0.1)
+
+
+def test_approximate_names_the_first_unknown_dense_point():
+    space = _segment()
+    mu = IdempotentMeasure.dirac(space, "a0")
+    for dense in (["zz", "yy", "xx", "g0"], ["g0", "xx", "zz", "yy"]):
+        with pytest.raises(UnknownPointError) as err:
+            approximate_on_dense(mu, dense, [_coordinate_table(space)], 0.1)
+        assert err.value.point_id == next(p for p in dense if p not in space)
 
 
 @on_both_geometry_paths
