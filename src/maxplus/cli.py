@@ -9,6 +9,13 @@ Ground spaces may be supplied explicitly with ``--space FILE`` (required
 whenever an operation needs coordinates); otherwise a coordinate-less
 space is inferred per space id from the sorted union of point ids the
 input files mention.
+
+Every command is a fresh process, so the module imports at the top only
+what reading inputs and writing results needs (``errors``, ``ground``,
+``jsonio``, ``measures``). A handler imports the rest of what it runs
+(``functor``, ``weaktop`` or ``suites``) when it runs, and the ``check``
+parser lists the suite names as a literal, so a file command never
+loads the suites.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ import sys
 import time
 
 from .errors import DenseSetTooCoarseError, MetricUnavailableError, ValidationError
-from .functor import lift_toward, preimage_contains, pushforward, support_displacement
 from .ground import GroundSpace
 from .jsonio import (
     load_json_file,
@@ -36,8 +42,6 @@ from .jsonio import (
     space_from_dict,
 )
 from .measures import IdempotentMeasure, combine
-from .suites import BOUNDED_SUITES, SUITES
-from .weaktop import WeakNeighborhood, approximate_on_dense
 
 DEFAULT_TOL = 1e-9
 
@@ -106,6 +110,8 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_pushforward(args) -> int:
+    from .functor import pushforward
+
     f, mu = _load(args, map=read_map, measure=read_measure)
     result = pushforward(f, mu)
     _emit(result)
@@ -122,6 +128,8 @@ def cmd_combine(args) -> int:
 
 
 def cmd_approx(args) -> int:
+    from .weaktop import WeakNeighborhood, approximate_on_dense
+
     mu, (dense_sid, dense_pts), tests = _load(args, measure=read_measure, dense=read_dense, tests=read_tests)
     if dense_sid != mu.space_id:
         raise ValidationError(
@@ -136,6 +144,8 @@ def cmd_approx(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    from .functor import lift_toward, support_displacement
+
     f, base, target = _load(args, map=read_map, base=read_measure, target=read_measure)
     lifted = lift_toward(f, base, target)
     _emit(lifted)
@@ -148,6 +158,8 @@ def cmd_lift(args) -> int:
 
 
 def cmd_preimage_check(args) -> int:
+    from .functor import preimage_contains
+
     f, nu, mu = _load(args, map=read_map, nu=read_measure, mu=read_measure)
     ok = preimage_contains(f, nu, mu, args.tol)
     _emit({"contains": ok, "tolerance": args.tol})
@@ -159,6 +171,8 @@ def cmd_preimage_check(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .suites import BOUNDED_SUITES, SUITES
+
     options = {"seed": args.seed}
     if args.trials is not None:
         if args.trials < 1:
@@ -241,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_preimage_check)
 
     p = sub.add_parser("check", help="run a seeded property suite")
-    p.add_argument("suite", choices=sorted(SUITES))
+    p.add_argument("suite", choices=("axioms", "convexity", "density", "functor", "kappa", "lemmas", "openmap"))
     p.add_argument("--trials", type=int, default=None, help="trial count (default: per-suite)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=None, help="tolerance of homogeneity (axioms) and K3"

@@ -4,6 +4,7 @@ Spawning ``python3 -m maxplus`` keeps these tests honest about exit
 codes, stream separation, and environment handling.
 """
 
+import argparse
 import contextlib
 import gc
 import io
@@ -425,6 +426,42 @@ def test_exit_2_on_unknown_subcommand():
 def test_exit_2_on_bad_suite_name():
     r = run_cli("check", "nonsense")
     assert r.returncode == 2
+
+
+def test_check_choices_follow_the_suite_registry():
+    """The parser lists the suite names as a literal so that it need not import the suites."""
+    from maxplus import suites
+
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in commands.choices["check"]._actions if a.dest == "suite")
+    assert suite.choices == tuple(sorted(suites.SUITES))
+    assert set(suites.BOUNDED_SUITES) <= set(suite.choices)
+
+
+def test_check_parser_messages_are_pinned():
+    names = "{axioms,convexity,density,functor,kappa,lemmas,openmap}"
+    usage = f"usage: maxplus check [-h] [--trials TRIALS] [--seed SEED] [--tol TOL]\n{' ' * 21}{names}\n"
+    r = run_cli("check", "nosuch", env_extra={"COLUMNS": "80"})
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == usage + (
+        "maxplus check: error: argument suite: invalid choice: 'nosuch' (choose from"
+        " 'axioms', 'convexity', 'density', 'functor', 'kappa', 'lemmas', 'openmap')\n"
+    )
+    r = run_cli("check", "--help", env_extra={"COLUMNS": "80"})
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == usage + f"""
+positional arguments:
+  {names}
+
+options:
+  -h, --help            show this help message and exit
+  --trials TRIALS       trial count (default: per-suite)
+  --seed SEED
+  --tol TOL             tolerance of homogeneity (axioms) and K3 (kappa);
+                        every other check is exact (default: MAXPLUS_TOL or
+                        1e-9)
+"""
 
 
 def test_exit_2_on_bad_env_tolerance(files):

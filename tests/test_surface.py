@@ -1,8 +1,15 @@
-"""The public surface: every exported name has a caller in the package or a place in the README."""
+"""The public surface: every exported name has a caller in the package or a place in the README.
+
+The package resolves each export from its home module on first use; the
+tests below check that what it hands out is the home module's object.
+"""
 
 import ast
 import re
+from importlib import import_module
 from pathlib import Path
+
+import pytest
 
 import maxplus
 
@@ -53,3 +60,31 @@ def test_every_export_has_a_caller():
     assert sorted(maxplus.__all__) == EXPORTS
     known = _used_in_package() | _named_in_readme()
     assert [name for name in EXPORTS if name not in known] == []
+
+
+def test_exports_resolve_to_their_home_objects():
+    for name in EXPORTS:
+        home = import_module(f"maxplus.{maxplus._HOME[name]}")
+        assert getattr(maxplus, name) is getattr(home, name), name
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from maxplus import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == EXPORTS
+
+
+def test_dir_lists_every_export():
+    assert set(EXPORTS) <= set(dir(maxplus))
+
+
+def test_unknown_name_raises_the_standard_error():
+    with pytest.raises(AttributeError, match=r"^module 'maxplus' has no attribute 'nope'$"):
+        maxplus.nope
+
+
+def test_names_and_submodules_import_together():
+    from maxplus import ValidationError, cli
+
+    assert ValidationError is import_module("maxplus.errors").ValidationError
+    assert cli is import_module("maxplus.cli")
