@@ -18,16 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LiftImpossibleError
-from .ground import (
-    FunctionTable,
-    PointMap,
-    _nearest,
-    _require_same_space,
-    fiber_points,
-    require_nonempty_fiber,
-)
-from .measures import IdempotentMeasure, _merge, make_measure, max_weight_gap
+from .errors import EmptyFiberError, LiftImpossibleError
+from .ground import FunctionTable, PointMap, _nearest, _require_same_space
+from .measures import IdempotentMeasure, _merge, max_weight_gap
 from .rng import rand_int, trial_rng
 
 
@@ -63,8 +56,8 @@ def pushforward(f: PointMap, mu: IdempotentMeasure) -> IdempotentMeasure:
 
 def support_image_check(f: PointMap, mu: IdempotentMeasure) -> bool:
     """Whether the pushforward support equals the set-image of the support."""
-    image = {f(x) for x in mu.support}
-    return set(pushforward(f, mu).support) == image
+    support = pushforward(f, mu)._idx.tolist()
+    return support == sorted(set(f._tpos[mu._idx].tolist()))
 
 
 def preimage_contains(
@@ -92,17 +85,16 @@ def sample_preimage(f: PointMap, nu: IdempotentMeasure, seed: int) -> Idempotent
     """
     _require_target_measure(f, nu)
     rng = trial_rng(seed, 0)
-    ids = f._source._ids
-    pairs: list[tuple[str, float]] = []
+    atoms: list[tuple[int, float]] = []
     for j, w in zip(nu._idx.tolist(), nu._w.tolist()):
         pts = _lift_fiber(f, j)
         designated = pts[rand_int(rng, 0, len(pts) - 1)]
         for x in pts:
             if x == designated:
-                pairs.append((ids[x], w))
+                atoms.append((x, w))
             elif float(rng.uniform(0.0, 1.0)) >= 0.5:
-                pairs.append((ids[x], w - float(rng.uniform(0.0, 5.0))))
-    return make_measure(f._source, pairs)
+                atoms.append((x, w - float(rng.uniform(0.0, 5.0))))
+    return IdempotentMeasure._trusted(f._source, *_merge(f._source, *zip(*atoms)))
 
 
 def fiber_sup(f: PointMap, phi: FunctionTable) -> FunctionTable:
@@ -121,11 +113,11 @@ def fiber_inf(f: PointMap, phi: FunctionTable) -> FunctionTable:
 
 def _fiber_extreme(f: PointMap, phi: FunctionTable, pick) -> FunctionTable:
     _require_same_space(phi._space, f._source, "table does not live on the map source")
-    values = phi.values
-    return FunctionTable._trusted(
-        f._target,
-        np.array([pick(values[x] for x in require_nonempty_fiber(f, y)) for y in f._target.point_ids]),
-    )
+    if [] in f._fiber_pos:
+        y = f._target._ids[f._fiber_pos.index([])]
+        raise EmptyFiberError(f"undefined on non-image point {y!r} of space {f.to_space!r}")
+    values = phi._v.tolist().__getitem__
+    return FunctionTable._trusted(f._target, np.array([pick(map(values, p)) for p in f._fiber_pos]))
 
 
 @dataclass(frozen=True)
@@ -154,14 +146,14 @@ def check_fiber_bounds(
     The bound is compared exactly: the peak atom adds 0 to its value and
     every other atom adds a weight below 0, which rounding cannot lift.
     """
-    f.target.index(y0)
+    j = f._target.index(y0)
     push = pushforward(f, nu)
-    if push.support != (y0,):
+    _require_same_space(phi._space, f._source, "table does not live on the map source")
+    if push._idx.tolist() != [j]:
         return FiberBoundReport(False, y0, None, None, None, False)
-    pts = fiber_points(f, y0)
-    values = phi.values
-    lower = min(values[x] for x in pts)
-    upper = max(values[x] for x in pts)
+    values = phi._v[f._fiber_pos[j]].tolist()
+    lower = min(values)
+    upper = max(values)
     integral = nu.integrate(phi)
     passed = lower <= integral <= upper
     return FiberBoundReport(True, y0, lower, upper, integral, passed)

@@ -21,7 +21,6 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .errors import (
-    EmptyFiberError,
     MetricUnavailableError,
     SpaceMismatchError,
     UnknownPointError,
@@ -47,8 +46,9 @@ class GroundSpace:
     array; float tuples for ``math.dist``, one per position, are made
     from it on first need.
     Checks run on whole columns; points are walked one by one only to
-    convert coordinates that numpy does not take as they are, or to name
-    the offender once a check has failed.
+    convert coordinates that are not Python ints and floats or that numpy
+    does not take as they are, or to name the offender once a check has
+    failed.
     """
 
     __slots__ = ("_id", "_ids", "_index", "_xy", "_rows")
@@ -182,7 +182,13 @@ def _split(points: Iterable[PointLike]) -> tuple[list[str], list | None]:
     if not set(map(type, ids)) <= {str}:
         bad = next(pid for pid in ids if type(pid) is not str)
         raise ValidationError(f"point ids must be strings, got {bad!r}")
-    return list(ids), None if rows.count(None) == len(rows) else list(rows)
+    if rows.count(None) == len(rows):
+        return list(ids), None
+    try:  # numpy would read a boolean or a string as a number: other kinds go point by point
+        plain = set(map(type, chain.from_iterable(rows))) <= {float, int}
+    except TypeError:  # a row that is absent or not a sequence
+        plain = False
+    return list(ids), list(rows) if plain else [None if r is None else _as_coords(r) for r in rows]
 
 
 def _coord_array(rows: list) -> np.ndarray | list:
@@ -204,9 +210,16 @@ def _coord_array(rows: list) -> np.ndarray | list:
     return [None if r is None else _as_coords(r) for r in rows]
 
 
+def _real(v: object) -> float:
+    """``float(v)``, refusing a boolean or a string as it refuses any other non-number."""
+    if isinstance(v, (bool, np.bool_, str)):
+        raise TypeError(f"not a number: {v!r}")
+    return float(v)
+
+
 def _as_coords(coords: Sequence[float]) -> tuple[float, ...]:
     try:
-        out = tuple(float(c) for c in coords)
+        out = tuple(map(_real, coords))
     except (TypeError, ValueError):
         raise ValidationError(f"coordinates must be numbers, got {coords!r}") from None
     except OverflowError:  # an integer too large for a float
@@ -360,7 +373,7 @@ class FunctionTable:
         if len(values) != len(column) or not set(map(type, column)) <= {float}:
             _require_total(space, values, where)
             try:
-                column = [float(v) for v in column]
+                column = list(map(_real, column))
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"{where} has a non-numeric value ({exc})") from None
             except OverflowError:  # an integer too large for a float
@@ -530,13 +543,6 @@ def pullback(phi: FunctionTable, f: PointMap) -> FunctionTable:
     """The composite table ``phi after f`` on the source space of f."""
     _require_same_space(phi._space, f._target, "pullback: table does not live on the map target")
     return FunctionTable._trusted(f.source, phi._v[f._tpos])
-
-
-def require_nonempty_fiber(f: PointMap, y: str) -> tuple[str, ...]:
-    pts = fiber_points(f, y)
-    if not pts:
-        raise EmptyFiberError(f"undefined on non-image point {y!r} of space {f.to_space!r}")
-    return pts
 
 
 def uniform_grid_1d(space_id: str, n: int, lo: float = 0.0, hi: float = 1.0) -> GroundSpace:

@@ -101,7 +101,9 @@ class IdempotentMeasure:
         bottom: the peak atom adds exactly 0.0 to a finite value.
         """
         _require_same_space(phi._space, self._space, "cannot integrate a table against a measure")
-        if len(self._idx) <= _FEW:  # Python's max keeps the first of equal sums
+        # Python's max keeps the first of equal sums. Integrating on numpy
+        # alone made the functor and density suites 6.5 % and 7.2 % slower.
+        if len(self._idx) <= _FEW:
             return max(map(operator.add, self._w.tolist(), phi._v[self._idx].tolist()))
         with np.errstate(over="ignore"):  # a sum that overflows is -inf, as in Python
             sums = self._w + phi._v[self._idx]
@@ -188,11 +190,14 @@ def _reject(space: GroundSpace, ids: Sequence, weights: Sequence, read) -> None:
 
 
 _FEW = 64
-"""Atom count up to which merging and integrating run on Python floats.
+"""Atom count up to which :func:`_merge` and ``integrate`` run on Python floats.
 
-Every numpy call costs about a microsecond before it does any work, and
-a merge takes about ten of them, so a loop over a few atoms is cheaper.
-The check suites build thousands of measures of at most a dozen atoms.
+Both paths earn their place (in process, paired runs, 2-CPU host, Python
+3.11, numpy 2.4). The check suites hand the merge at most 21 atoms, in
+9,203 calls over the seven suites at seed 0, and a numpy-only merge made
+``functor`` 9.4 %, ``convexity`` 8.9 %, ``lemmas`` 6.8 % and ``openmap``
+6.7 % slower. The CLI hands it 64 to 1.8e5 atoms, and a Python-only merge
+of 1e5 atoms takes 30-47 ms against 0.5-0.6 ms on numpy columns.
 """
 
 
@@ -293,13 +298,9 @@ def combine(
         return nu
     if bv == -math.inf:
         return mu
-    if len(mu) + len(nu) <= _FEW:  # Python floats: a sum that overflows is -inf and drops
-        pos = mu._idx.tolist() + nu._idx.tolist()
-        w = [av + x for x in mu._w.tolist()] + [bv + x for x in nu._w.tolist()]
-    else:
-        pos = np.concatenate((mu._idx, nu._idx))
-        with np.errstate(over="ignore"):
-            w = np.concatenate((av + mu._w, bv + nu._w))
+    pos = np.concatenate((mu._idx, nu._idx))
+    with np.errstate(over="ignore"):  # a sum that overflows is -inf and drops
+        w = np.concatenate((av + mu._w, bv + nu._w))
     return IdempotentMeasure._trusted(mu.space, *_merge(mu.space, pos, w))
 
 
@@ -448,8 +449,8 @@ def min_plus_functional(mu: IdempotentMeasure):
     """Negative control: min in place of max (breaks max-additivity)."""
 
     def evaluate(phi: FunctionTable) -> float:
-        values = phi.values
-        return min(w + values[pid] for pid, w in mu.atoms())
+        _require_same_space(phi._space, mu._space, "cannot evaluate a table against a measure")
+        return min(map(operator.add, mu._w.tolist(), phi._v[mu._idx].tolist()))
 
     return evaluate
 
@@ -458,7 +459,7 @@ def sum_functional(mu: IdempotentMeasure):
     """Negative control: plain summation over the support (breaks the norm axiom)."""
 
     def evaluate(phi: FunctionTable) -> float:
-        values = phi.values
-        return sum(values[pid] for pid in mu.support)
+        _require_same_space(phi._space, mu._space, "cannot evaluate a table against a measure")
+        return sum(phi._v[mu._idx].tolist())
 
     return evaluate

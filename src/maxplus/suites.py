@@ -53,9 +53,9 @@ from .measures import (
     IdempotentMeasure,
     _first_law_failure,
     _integrate_rows,
+    _merge,
     check_axioms,
     combine,
-    make_measure,
     min_plus_functional,
     sum_functional,
 )
@@ -425,9 +425,7 @@ def run_density(trials: int = 200, seed: int = 0) -> SuiteReport:
     demo_points.append(("a0", (0.505,)))
     demo_space = GroundSpace("Ddemo", demo_points)
     demo_mu = IdempotentMeasure.dirac(demo_space, "a0")
-    identity_table = FunctionTable._trusted(
-        demo_space, np.array([demo_space.coords(p)[0] for p in demo_space.point_ids])
-    )
+    identity_table = FunctionTable._trusted(demo_space, demo_space._xy[:, 0])
     demo_eps = 0.001
     demo = {"epsilon": demo_eps, "raised": False, "worst_discrepancy": None}
     try:
@@ -487,13 +485,8 @@ def run_openmap(trials: int = 200, seed: int = 0) -> SuiteReport:
         mu0 = _random_measure(rng, plane)
         nu0 = pushforward(f, mu0)
         max_offset = int(delta * (n - 1))
-        atoms = []
-        for y, w in nu0.atoms():
-            i = line.index(y)
-            o = rand_int(rng, -max_offset, max_offset)
-            i2 = min(max(i + o, 0), n - 1)
-            atoms.append((f"g{i2}", w))
-        nu_prime = make_measure(line, atoms)
+        slid = [min(max(i + rand_int(rng, -max_offset, max_offset), 0), n - 1) for i in nu0._idx.tolist()]
+        nu_prime = IdempotentMeasure._trusted(line, *_merge(line, slid, nu0._w.tolist()))
 
         def inputs():
             return {"trial": t, "grid": n, "axis": axis, "mu0": _measure_dict(mu0),
@@ -545,25 +538,17 @@ def run_lemmas(trials: int = 500, seed: int = 0) -> SuiteReport:
         def inputs():
             return {"trial": t, "f": dict(f.assign), "phi": dict(phi.values)}
 
-        low_pull = pullback(lower, f).values
-        up_pull = pullback(upper, f).values
-        values = phi.values
-        if not all(
-            low_pull[x] <= values[x] <= up_pull[x] for x in sx.point_ids
-        ):
+        if not ((pullback(lower, f)._v <= phi._v) & (phi._v <= pullback(upper, f)._v)).all():
             report.fail(t, "dominated", inputs, "fiber min <= phi <= fiber max pointwise",
                         "violated")
 
-        attained = True
-        low, up = lower.values, upper.values
-        for y in sy.point_ids:
-            fiber_values = [values[x] for x in fiber_points(f, y)]
-            if low[y] not in fiber_values or up[y] not in fiber_values:
-                attained = False
+        values, low, up = phi._v.tolist(), lower._v.tolist(), upper._v.tolist()
+        for j, fiber in enumerate(f._fiber_pos):
+            fiber_values = list(map(values.__getitem__, fiber))
+            if low[j] not in fiber_values or up[j] not in fiber_values:
+                report.fail(t, "extreme_attained", inputs, "extremes attained in every fiber",
+                            f"not attained over {sy._ids[j]!r}")
                 break
-        if not attained:
-            report.fail(t, "extreme_attained", inputs, "extremes attained in every fiber",
-                        f"not attained over {y!r}")
 
         y0 = choose(rng, list(sy.point_ids))
         pts = list(fiber_points(f, y0))

@@ -18,8 +18,9 @@ settings.load_profile("deterministic")
 # The two executions of the measure kernels
 # ---------------------------------------------------------------------------
 
-# Merging and integrating run on Python floats up to ``measures._FEW`` atoms
-# and on numpy columns above it; the oracle tests run each way.
+# ``measures._merge`` and ``integrate`` run on Python floats up to
+# ``measures._FEW`` atoms and on numpy columns above it (the measured reason
+# is in the ``_FEW`` docstring); the oracle tests run each way.
 KERNELS = ("python", "numpy")
 
 

@@ -4,6 +4,7 @@ import math
 import re
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
 from maxplus import (
@@ -17,24 +18,28 @@ from maxplus import (
     UnknownPointError,
     ValidationError,
     WeakNeighborhood,
+    check_fiber_bounds,
     combine,
     compose,
     distance,
+    fiber_inf,
     fiber_points,
     fiber_sup,
     identity_map,
     lift_toward,
     max_weight_gap,
+    min_plus_functional,
     preimage_contains,
     pullback,
     pushforward,
     sample_preimage,
+    sum_functional,
     support_displacement,
+    support_image_check,
     uniform_grid_1d,
     uniform_grid_2d,
 )
 from maxplus.errors import EmptyFiberError
-from maxplus.ground import require_nonempty_fiber
 from maxplus.jsonio import space_from_dict
 
 
@@ -200,6 +205,32 @@ def test_table_rejects_nonfinite(abc_space):
         FunctionTable(abc_space, {"a": 1.0, "b": math.inf, "c": 0.0})
 
 
+@pytest.mark.parametrize(
+    "bad", ["1.5", np.str_("1.5"), True, np.True_], ids=["str", "numpy-str", "bool", "numpy-bool"]
+)
+def test_table_refuses_booleans_and_strings(abc_space, bad):
+    with pytest.raises(ValidationError, match="function table on space 'X' has a non-numeric value"):
+        FunctionTable(abc_space, {"a": bad, "b": 2.0, "c": 3.0})
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [("1.5",), (np.str_("1.5"),), (True,), (np.False_,), "12"],
+    ids=["str", "numpy-str", "bool", "numpy-bool", "str-row"],
+)
+def test_space_refuses_boolean_and_string_coords(bad):
+    with pytest.raises(ValidationError, match=re.escape(f"coordinates must be numbers, got {bad!r}")):
+        GroundSpace("X", [("a", (0.5,)), ("b", bad)])
+
+
+@pytest.mark.parametrize(
+    "number", [2, np.int64(2), np.float32(2.0), np.float64(2.0)], ids=["int", "int64", "float32", "float64"]
+)
+def test_tables_and_coords_take_numbers_of_every_other_kind(abc_space, number):
+    assert FunctionTable(abc_space, {"a": number, "b": 2.0, "c": 3.0})("a") == 2.0
+    assert GroundSpace("X", [("a", (0.5,)), ("b", (number,))]).coords("b") == (2.0,)
+
+
 def test_table_call_and_eq(abc_space):
     phi = FunctionTable(abc_space, {"a": 1.0, "b": 2, "c": 3.0})
     assert phi("b") == 2.0
@@ -249,8 +280,10 @@ def test_map_empty_fiber(abc_space, uv_space):
     f = PointMap(abc_space, uv_space, {"a": "u", "b": "u", "c": "u"})
     assert f.image == frozenset({"u"})
     assert fiber_points(f, "v") == ()
-    with pytest.raises(EmptyFiberError):
-        require_nonempty_fiber(f, "v")
+    phi = FunctionTable(abc_space, {"a": 1.0, "b": 2.0, "c": 3.0})
+    for extreme in (fiber_sup, fiber_inf):
+        with pytest.raises(EmptyFiberError, match=re.escape("undefined on non-image point 'v' of space 'Y'")):
+            extreme(f, phi)
 
 
 def test_compose_and_identity(abc_space, uv_space):
@@ -319,6 +352,11 @@ MISMATCHED = {
     "sample_preimage": lambda: sample_preimage(INTO_S1, ON_S2, 0),
     "lift_toward": lambda: lift_toward(TO_T_FROM_S2, ON_S1, IdempotentMeasure.dirac(T, "t")),
     "fiber_sup": lambda: fiber_sup(TO_T_FROM_S2, PHI_S1),
+    "fiber_inf": lambda: fiber_inf(TO_T_FROM_S2, PHI_S1),
+    "check_fiber_bounds": lambda: check_fiber_bounds(PointMap(S1, T, {"a": "t", "b": "t"}), "t", ON_S1, PHI_S2),
+    "support_image_check": lambda: support_image_check(TO_T_FROM_S2, IdempotentMeasure.dirac(S1, "a")),
+    "min_plus_functional": lambda: min_plus_functional(ON_S1)(PHI_S2),
+    "sum_functional": lambda: sum_functional(ON_S1)(PHI_S2),
     "support_displacement": lambda: support_displacement(ON_S1, ON_S2),
     "neighborhood_test": lambda: WeakNeighborhood(ON_S1, (PHI_S2,), 0.1),
     "neighborhood_member": lambda: WeakNeighborhood(ON_S1, (PHI_S1,), 0.1).contains(ON_S2),
