@@ -10,6 +10,13 @@ whenever an operation needs coordinates); otherwise a coordinate-less
 space is inferred per space id from the sorted union of point ids the
 input files mention.
 
+A file command reads the ``--space`` files first, then its other input
+files in argument order, and drops each decoded JSON tree before it
+decodes the next, keeping only the space or the reader's columns. Faults
+are still reported by stage: an input file that cannot be read or is not
+JSON, then a ``--space`` fault, then a reader fault, then inference and
+build (``_load`` has the details).
+
 Every command is a fresh process, so the module imports at the top only
 what reading inputs and writing results needs (``errors``, ``ground``,
 ``jsonio``, ``measures``). A handler imports the rest of what it runs
@@ -79,17 +86,43 @@ def _resolve_tol(value: float | None) -> float:
 def _load(args, **readers) -> list:
     """Read each named input file with its ``jsonio`` reader and build it on its spaces.
 
+    The ``--space`` files are read first, then the named files in
+    argument order. Each file is decoded, read (by ``space_from_dict`` or
+    its reader) and dropped before the next is decoded, so while no
+    fault is held only one decoded tree is alive at a time; what is kept
+    is the space or the columns the reader's ``build`` needs.
+
+    Faults are reported in a fixed order of stages, not in read order:
+    the first named file that cannot be opened or is not JSON, then the
+    first ``--space`` fault, then the first reader fault in argument
+    order, then inference and build faults. The first ``--space`` or
+    reader ``ValidationError`` is held until every named file has been
+    decoded; once one is held, the files left are only decoded.
+
     A space without a ``--space`` file is inferred as the sorted union of
     the point ids all the files reference under its id.
     """
-    objs = [load_json_file(getattr(args, name)) for name in readers]
+    held = None
     spaces: dict[str, GroundSpace] = {}
-    for path in args.space or []:
-        space = space_from_dict(load_json_file(path))
-        if space.id in spaces:
-            raise ValidationError(f"space {space.id!r} supplied more than once")
-        spaces[space.id] = space
-    reads = [read(obj) for read, obj in zip(readers.values(), objs)]
+    try:
+        for path in args.space or []:
+            space = space_from_dict(load_json_file(path))
+            if space.id in spaces:
+                raise ValidationError(f"space {space.id!r} supplied more than once")
+            spaces[space.id] = space
+    except ValidationError as exc:
+        held = exc
+    reads = []
+    for name, read in readers.items():
+        tree = load_json_file(getattr(args, name))  # unreadable or not JSON: raised at once, before a held fault
+        if held is None:
+            try:
+                reads.append(read(tree))
+            except ValidationError as exc:
+                held = exc
+        del tree
+    if held is not None:
+        raise held
     for sid, pts in merged_refs(reads).items():
         if sid not in spaces:
             if not pts:

@@ -12,6 +12,7 @@ answered by one kernel, :func:`_nearest`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -211,8 +212,8 @@ def _coord_array(rows: list) -> np.ndarray | list:
 
 
 def _real(v: object) -> float:
-    """``float(v)``, refusing a boolean or a string as it refuses any other non-number."""
-    if isinstance(v, (bool, np.bool_, str)):
+    """``float(v)`` for a real number that is not a boolean; ``float`` would also parse strings and bytes."""
+    if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
         raise TypeError(f"not a number: {v!r}")
     return float(v)
 

@@ -206,7 +206,9 @@ def test_table_rejects_nonfinite(abc_space):
 
 
 @pytest.mark.parametrize(
-    "bad", ["1.5", np.str_("1.5"), True, np.True_], ids=["str", "numpy-str", "bool", "numpy-bool"]
+    "bad",
+    ["1.5", np.str_("1.5"), True, np.True_, b"1.5", bytearray(b"1.5"), memoryview(b"1.5"), np.bytes_(b"1.5")],
+    ids=["str", "numpy-str", "bool", "numpy-bool", "bytes", "bytearray", "memoryview", "numpy-bytes"],
 )
 def test_table_refuses_booleans_and_strings(abc_space, bad):
     with pytest.raises(ValidationError, match="function table on space 'X' has a non-numeric value"):
@@ -215,8 +217,9 @@ def test_table_refuses_booleans_and_strings(abc_space, bad):
 
 @pytest.mark.parametrize(
     "bad",
-    [("1.5",), (np.str_("1.5"),), (True,), (np.False_,), "12"],
-    ids=["str", "numpy-str", "bool", "numpy-bool", "str-row"],
+    [("1.5",), (np.str_("1.5"),), (True,), (np.False_,), "12",
+     (b"1.5",), (bytearray(b"1.5"),), (memoryview(b"1.5"),), (np.bytes_(b"1.5"),)],
+    ids=["str", "numpy-str", "bool", "numpy-bool", "str-row", "bytes", "bytearray", "memoryview", "numpy-bytes"],
 )
 def test_space_refuses_boolean_and_string_coords(bad):
     with pytest.raises(ValidationError, match=re.escape(f"coordinates must be numbers, got {bad!r}")):
