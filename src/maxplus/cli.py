@@ -17,12 +17,14 @@ are still reported by stage: an input file that cannot be read or is not
 JSON, then a ``--space`` fault, then a reader fault, then inference and
 build (``_load`` has the details).
 
-Every command is a fresh process, so the module imports at the top only
-what reading inputs and writing results needs (``errors``, ``ground``,
-``jsonio``, ``measures``). A handler imports the rest of what it runs
-(``functor``, ``weaktop`` or ``suites``) when it runs, and the ``check``
-parser lists the suite names as a literal, so a file command never
-loads the suites.
+Every command is a fresh process, started by ``maxplus.__main__.run``,
+which freezes what the process keeps before it exits; ``main`` never
+freezes, because in-process callers keep their own collector. So the
+module imports at the top only what reading inputs and writing results
+needs (``errors``, ``ground``, ``jsonio``, ``measures``). A handler
+imports the rest of what it runs (``functor``, ``weaktop`` or
+``suites``) when it runs, and the ``check`` parser lists the suite names
+as a literal, so a file command never loads the suites.
 """
 
 from __future__ import annotations
@@ -328,7 +330,3 @@ def main(argv=None) -> int:
     finally:
         if paused:
             gc.enable()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -5,13 +5,17 @@ codes, stream separation, and environment handling.
 """
 
 import argparse
+import ast
 import contextlib
 import gc
+import importlib
+import inspect
 import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -711,3 +715,86 @@ def test_integer_coordinates_load_as_floats(tmp_path):
                 "--tests", str(tests), "--eps", "0.5")
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["atoms"] == [{"point": "a", "weight": 0.0}]
+
+
+# ---------------------------------------------------------------------------
+# The process lifecycle: ``maxplus.__main__.run`` (never called in process)
+# ---------------------------------------------------------------------------
+
+
+def launcher_cases(files):
+    """Each file command once, malformed input (exit 2) and a dense set too coarse (exit 1)."""
+    return {
+        "integrate": ["integrate", "--measure", files["measure"], "--function", files["function"]],
+        "pushforward": ["pushforward", "--map", files["map"], "--measure", files["measure"]],
+        "combine": ["combine", "--alpha=-1", "--beta", "0", "--m1", files["measure"], "--m2", files["measure"]],
+        "approx": ["approx", "--space", files["space"], "--measure", files["mu_offgrid"], "--dense", files["dense"],
+                   "--tests", files["tests1d"], "--eps", "0.1"],
+        "lift": ["lift", "--space", files["space"], "--map", files["proj"], "--base", files["base"],
+                 "--target", files["target"]],
+        "preimage-check": ["preimage-check", "--map", files["map"], "--nu", files["nu"], "--mu", files["measure"]],
+        "malformed": gc_cases(files)[2],
+        "too-coarse": gc_cases(files)[1],
+    }
+
+
+def test_the_launcher_changes_no_output(files):
+    for case, argv in launcher_cases(files).items():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        r = subprocess.run(CMD + argv, capture_output=True)
+        assert (r.returncode, r.stdout, r.stderr) == (code, out.getvalue().encode(), err.getvalue().encode()), case
+
+
+def test_main_never_freezes(files):
+    before = gc.get_freeze_count()
+    assert quiet_main(gc_cases(files)[0]) == 0
+    assert quiet_main(["check", "openmap", "--trials", "2"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+# ``python -m maxplus`` with a probe that reads the frozen count once the command has returned
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+runpy.run_module("maxplus", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_the_process_freezes_before_it_exits(files):
+    argv = launcher_cases(files)["integrate"]
+    r = subprocess.run([sys.executable, "-c", FREEZE_PROBE, *argv], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {"integral": 4.0}
+    word, count = r.stderr.splitlines()[-1].split()
+    assert word == "frozen" and int(count) > 0
+
+
+def test_installed_script_runs_the_module_launcher():
+    import maxplus.__main__  # safe: the command runs only under the ``__main__`` guard
+
+    lines = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text().splitlines()
+    name, target = lines[lines.index("[project.scripts]") + 1].split(" = ")
+    module, attr = json.loads(target).split(":")
+    assert name == "maxplus"
+    assert getattr(importlib.import_module(module), attr) is maxplus.__main__.run
+    guard = ast.parse(inspect.getsource(maxplus.__main__)).body[-1]
+    assert ast.unparse(guard) == "if __name__ == '__main__':\n    sys.exit(run())"
+
+
+def test_a_closed_stdout_exits_1_silently(tmp_path):
+    # ~200 KiB of output, past the 64 KiB pipe buffer, so the write fails whenever the reader closes
+    measure = tmp_path / "measure.json"
+    measure.write_text(json.dumps({"space": "X", "atoms": [
+        {"point": f"p{i:04d}", "weight": -i / 4000} for i in range(4000)
+    ]}))
+    proc = subprocess.Popen(
+        CMD + ["combine", "--alpha=0", "--beta=0", "--m1", str(measure), "--m2", str(measure)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(5) == b'{\n  "'
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
