@@ -330,3 +330,7 @@ def main(argv=None) -> int:
     finally:
         if paused:
             gc.enable()
+
+
+if __name__ == "__main__":  # not a launcher: a script would otherwise get silent success
+    build_parser().error("maxplus.cli is not a launcher; run the CLI as `python -m maxplus`")

@@ -5,6 +5,9 @@ seed, trial index), so single trials replay independently and results
 never depend on execution order. Reports carry one record per failed
 check with an input digest sufficient to reproduce the trial.
 
+A run of independent draws with equal bounds and a known count is one sized
+call; ``tests/test_rng_stream.py`` pins that it draws as the scalar calls would.
+
 Wall-clock time is measured by ``check`` around the suite call, not by
 the suites: the JSON rendering of a report must be byte-stable across
 runs.
@@ -134,40 +137,33 @@ def _failure(trial: int, seed: int, check: str, inputs, expected, actual) -> dic
     }
 
 
+_PLAIN_IDS = tuple(f"p{i}" for i in range(12))  # no suite draws a plain space above 12 points
+
+
 def _plain_space(space_id: str, size: int) -> GroundSpace:
-    return GroundSpace(space_id, [f"p{i}" for i in range(size)])
+    return GroundSpace(space_id, _PLAIN_IDS[:size])
 
 
 def _random_weights(rng, support) -> dict:
     """Weights in [-10, 0] on the support, one of them exactly 0."""
-    weights = {p: -rand_uniform(rng, 0.0, 10.0) for p in support}
+    weights = dict(zip(support, (-rng.uniform(0.0, 10.0, len(support))).tolist()))
     weights[choose(rng, support)] = 0.0
     return weights
 
 
 def _random_measure(rng, space: GroundSpace, max_atoms: int = 8) -> IdempotentMeasure:
-    pids = list(space.point_ids)
-    k = rand_int(rng, 1, min(max_atoms, len(pids)))
-    return IdempotentMeasure(space, _random_weights(rng, subset(rng, pids, k)))
-
-
-def _random_table(rng, space: GroundSpace, lo: float = -10.0, hi: float = 10.0) -> FunctionTable:
-    return FunctionTable._trusted(space, rng.uniform(lo, hi, len(space)))
+    k = rand_int(rng, 1, min(max_atoms, len(space)))
+    return IdempotentMeasure(space, _random_weights(rng, subset(rng, space.point_ids, k)))
 
 
 def _random_map(rng, source: GroundSpace, target: GroundSpace) -> PointMap:
-    tpids = list(target.point_ids)
-    return PointMap(source, target, {x: choose(rng, tpids) for x in source.point_ids})
+    return PointMap._trusted(source, target, rng.integers(0, len(target), size=len(source), dtype=np.intp))
 
 
 def _random_surjective_map(rng, source: GroundSpace, target: GroundSpace) -> PointMap:
-    spids = list(source.point_ids)
-    tpids = list(target.point_ids)
-    assign = {x: choose(rng, tpids) for x in spids}
-    chosen = rng.choice(len(spids), size=len(tpids), replace=False)
-    for y, i in zip(tpids, chosen):
-        assign[spids[int(i)]] = y
-    return PointMap(source, target, assign)
+    tpos = rng.integers(0, len(target), size=len(source), dtype=np.intp)
+    tpos[rng.choice(len(source), size=len(target), replace=False)] = np.arange(len(target))
+    return PointMap._trusted(source, target, tpos)
 
 
 def _measure_dict(mu: IdempotentMeasure) -> dict:
@@ -240,12 +236,12 @@ def run_functor(trials: int = 500, seed: int = 0) -> SuiteReport:
 
     for t in range(trials):
         rng = trial_rng(seed, t)
-        sx = _plain_space(f"X{t}", rand_int(rng, 2, 12))
-        sy = _plain_space(f"Y{t}", rand_int(rng, 2, 12))
-        sz = _plain_space(f"Z{t}", rand_int(rng, 2, 12))
+        sx, sy, sz = map(_plain_space, (f"X{t}", f"Y{t}", f"Z{t}"), rng.integers(2, 13, size=3).tolist())
         f = _random_map(rng, sx, sy)
         g = _random_map(rng, sy, sz)
         mu = _random_measure(rng, sx)
+        # all three duality tables in one draw: the stream ends with the trial, so a break hides the rest
+        tables = rng.uniform(-10.0, 10.0, (3, len(sy)))
         def inputs():
             return {"trial": t, "f": dict(f.assign), "g": dict(g.assign), "measure": _measure_dict(mu)}
 
@@ -262,8 +258,8 @@ def run_functor(trials: int = 500, seed: int = 0) -> SuiteReport:
         if not (support_image_check(f, mu) and support_image_check(gf, mu)):
             report.fail(t, "support_image", inputs, "support equals image of support", "mismatch")
 
-        for _ in range(3):
-            phi = _random_table(rng, sy)
+        for row in tables:
+            phi = FunctionTable._trusted(sy, row)
             # Exact: each side rounds w + phi(f x) once per atom, and since
             # rounding is monotone the per-fiber max commutes with it.
             lhs = image_mu.integrate(phi)
@@ -303,8 +299,7 @@ def run_convexity(trials: int = 500, seed: int = 0) -> SuiteReport:
         k = rand_int(rng, 1, min(8, len(image)))
         nu = IdempotentMeasure(sy, _random_weights(rng, subset(rng, image, k)))
 
-        mu1 = sample_preimage(f, nu, rand_int(rng, 0, 2**31 - 1))
-        mu2 = sample_preimage(f, nu, rand_int(rng, 0, 2**31 - 1))
+        mu1, mu2 = (sample_preimage(f, nu, s) for s in rng.integers(0, 2**31, size=2).tolist())
 
         case = _COEFF_CASES[t % len(_COEFF_CASES)]
         if case == "both-zero":
@@ -385,8 +380,7 @@ def run_density(trials: int = 200, seed: int = 0) -> SuiteReport:
         s = rand_int(rng, 1, 8)
         used = set(grid_coords)
         atom_coords = []
-        for _ in range(s):
-            c = rand_uniform(rng, 0.0, 1.0)
+        for c in rng.uniform(0.0, 1.0, s).tolist():
             while c in used:
                 c = (c + 1.3e-7) % 1.0
             used.add(c)
@@ -485,7 +479,8 @@ def run_openmap(trials: int = 200, seed: int = 0) -> SuiteReport:
         mu0 = _random_measure(rng, plane)
         nu0 = pushforward(f, mu0)
         max_offset = int(delta * (n - 1))
-        slid = [min(max(i + rand_int(rng, -max_offset, max_offset), 0), n - 1) for i in nu0._idx.tolist()]
+        offsets = rng.integers(-max_offset, max_offset + 1, size=len(nu0)).tolist()
+        slid = [min(max(i + d, 0), n - 1) for i, d in zip(nu0._idx.tolist(), offsets)]
         nu_prime = IdempotentMeasure._trusted(line, *_merge(line, slid, nu0._w.tolist()))
 
         def inputs():
@@ -532,7 +527,7 @@ def run_lemmas(trials: int = 500, seed: int = 0) -> SuiteReport:
         sx = _plain_space(f"X{t}", nx)
         sy = _plain_space(f"Y{t}", ny)
         f = _random_surjective_map(rng, sx, sy)
-        phi = _random_table(rng, sx)
+        phi = FunctionTable._trusted(sx, rng.uniform(-10.0, 10.0, nx))
         lower = fiber_inf(f, phi)
         upper = fiber_sup(f, phi)
         def inputs():
@@ -566,6 +561,7 @@ def run_lemmas(trials: int = 500, seed: int = 0) -> SuiteReport:
 # --- set-distance axioms ---------------------------------------------------------
 
 def _random_metric_space(rng, space_id: str, max_points: int = 20) -> GroundSpace:
+    """Distinct points of [0, 10]^2, drawn one at a time: a repeated pair redraws."""
     m = rand_int(rng, 3, max_points)
     seen = set()
     points = []

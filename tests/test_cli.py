@@ -783,6 +783,14 @@ def test_installed_script_runs_the_module_launcher():
     assert ast.unparse(guard) == "if __name__ == '__main__':\n    sys.exit(run())"
 
 
+@pytest.mark.parametrize("argv", [["integrate", "--measure", "m.json", "--function", "f.json"], ["nosuch"]])
+def test_the_cli_module_run_as_a_script_exits_2_naming_the_launcher(argv):
+    r = subprocess.run([sys.executable, "-m", "maxplus.cli", *argv], capture_output=True, text=True)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "python -m maxplus`" in r.stderr
+
+
 def test_a_closed_stdout_exits_1_silently(tmp_path):
     # ~200 KiB of output, past the 64 KiB pipe buffer, so the write fails whenever the reader closes
     measure = tmp_path / "measure.json"
