@@ -31,8 +31,8 @@ _EXPORTS = {
         "support_image_check",
     ),
     "ground": (
-        "FunctionTable", "GroundSpace", "Point", "PointMap", "compose", "distance",
-        "fiber_points", "identity_map", "pullback", "uniform_grid_1d", "uniform_grid_2d",
+        "FunctionTable", "GroundSpace", "Point", "PointMap", "compose", "fiber_points",
+        "identity_map", "pullback", "uniform_grid_1d", "uniform_grid_2d",
     ),
     "kappametric": (
         "KappaAxiomReport", "KappaCandidate", "check_kappa_axioms", "constant_candidate",

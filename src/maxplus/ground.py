@@ -44,15 +44,15 @@ class GroundSpace:
     by every point, have a common dimension, and be pairwise distinct
     (so the Euclidean distance separates points). A space stores its ids,
     an id-to-position dict and, with coordinates, one ``(n, d)`` float64
-    array; float tuples for ``math.dist``, one per position, are made
-    from it on first need.
+    array; float tuples for ``math.dist``, one per position, and rows of
+    distances (see :class:`_DistanceRows`) are made from it on first need.
     Checks run on whole columns; points are walked one by one only to
     convert coordinates that are not Python ints and floats or that numpy
     does not take as they are, or to name the offender once a check has
     failed.
     """
 
-    __slots__ = ("_id", "_ids", "_index", "_xy", "_rows")
+    __slots__ = ("_id", "_ids", "_index", "_xy", "_rows", "_drows")
 
     def __init__(self, space_id: str, points: Iterable[PointLike]):
         self._setup(space_id, *_split(points))
@@ -101,6 +101,7 @@ class GroundSpace:
         self._index = index
         self._xy = xy
         self._rows = None
+        self._drows = None
 
     @property
     def id(self) -> str:
@@ -148,12 +149,62 @@ class GroundSpace:
             self._rows = list(zip(*self._xy.T.tolist()))
         return self._rows
 
+    def _distance_rows(self) -> _DistanceRows:
+        """The space's rows of point-to-point distances, made on first call."""
+        if self._drows is None:
+            self._drows = _DistanceRows(self._tuples())
+        return self._drows
+
     def ordered(self, point_ids: Iterable[str]) -> list[str]:
         """Sort the given ids by their position in the space (validates membership)."""
         return sorted(point_ids, key=self.index)
 
     def __repr__(self) -> str:
         return f"GroundSpace({self._id!r}, {len(self._ids)} points)"
+
+
+_KEPT_ROWS = 256
+"""Point count up to which a space keeps the distance rows it makes.
+
+A kept row holds one float per point, so such a space keeps at most
+``256**2`` floats (2 MB). A larger space hands out each row as a
+:class:`_LazyRow` and keeps none.
+"""
+
+
+class _DistanceRows(dict):
+    """Position ``x`` -> its row: ``math.dist(coords[x], coords[j])`` at every position ``j``.
+
+    A row is made the first time its position is looked up. The arguments
+    go in the order :func:`_nearest`'s loop passes them, anchor first, so
+    every entry is the very float the kernel computes for that pair.
+    """
+
+    __slots__ = ("_coords",)
+
+    def __init__(self, coords: list[tuple[float, ...]]):
+        super().__init__()
+        self._coords = coords
+
+    def __missing__(self, x: int) -> list[float] | _LazyRow:
+        coords = self._coords
+        if len(coords) > _KEPT_ROWS:
+            return _LazyRow(coords[x], coords)
+        row = self[x] = list(map(math.dist, repeat(coords[x]), coords))
+        return row
+
+
+class _LazyRow:
+    """A distance row that computes an entry each time it is read."""
+
+    __slots__ = ("_at", "_coords")
+
+    def __init__(self, at: tuple[float, ...], coords: list[tuple[float, ...]]):
+        self._at = at
+        self._coords = coords
+
+    def __getitem__(self, j: int) -> float:
+        return math.dist(self._at, self._coords[j])
 
 
 def _split(points: Iterable[PointLike]) -> tuple[list[str], list | None]:
@@ -242,11 +293,6 @@ def _require_same_space(a: GroundSpace, b: GroundSpace, what: str) -> None:
     if a is not b and not _same_space(a, b):
         shared = " (same id, different points)" if a._id == b._id else ""
         raise SpaceMismatchError(f"{what}: space {a._id!r} is not space {b._id!r}{shared}")
-
-
-def distance(space: GroundSpace, x: str, y: str) -> float:
-    """Euclidean distance between two points of a coordinate-carrying space."""
-    return math.dist(space.coords(x), space.coords(y))
 
 
 _FEW_DIST = 1024

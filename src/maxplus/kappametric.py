@@ -17,16 +17,18 @@ distance to the set; deliberately broken candidates (constant, squared
 distance) are provided as negative controls.
 
 Each trial's points and sets are drawn apart from any candidate, so the
-two negative controls of ``check kappa`` share one stream of draws.
+two negative controls of ``check kappa`` share one stream of draws. Draws
+and checks run on point positions; ids are rebuilt only for
+counterexample records and for the ``rho`` of a candidate built by hand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import ValidationError
-from .ground import GroundSpace, _nearest, distance
+from .ground import GroundSpace
 from .rng import choose, rand_int, subset, trial_rng
 
 AXIOM_NAMES = {
@@ -41,38 +43,55 @@ AXIOM_NAMES = {
 class KappaCandidate:
     """A named (point, set) -> real functional on one ground space.
 
-    It faces the K3 Lipschitz check exactly when its space has
-    coordinates.
+    ``rho`` takes a point id and a tuple of ids. The checker computes on
+    positions: it calls ``_on_positions``, the same functional on a
+    position and a tuple of positions, which only the built-in candidates
+    set; any other candidate's ``rho`` is called with the ids rebuilt.
+    ``_on_positions`` is no constructor argument, so a candidate made by
+    ``dataclasses.replace`` goes through its ``rho``. A candidate faces
+    the K3 Lipschitz check exactly when its space has coordinates.
     """
 
     name: str
     space: GroundSpace
     rho: Callable[[str, tuple[str, ...]], float]
+    _on_positions: Callable[[int, tuple[int, ...]], float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+
+def _built_in(name: str, space: GroundSpace, on_positions, rho=None) -> KappaCandidate:
+    """A candidate computed by ``on_positions``; its ``rho`` maps ids to positions unless given."""
+    if rho is None:
+        pos = space._index.__getitem__
+
+        def rho(x: str, members: tuple[str, ...]) -> float:
+            return on_positions(pos(x), tuple(map(pos, members)))
+
+    candidate = KappaCandidate(name, space, rho)
+    object.__setattr__(candidate, "_on_positions", on_positions)
+    return candidate
 
 
 def distance_candidate(space: GroundSpace) -> KappaCandidate:
-    pos = space._index.__getitem__
+    def on_positions(x: int, members: tuple[int, ...]) -> float:
+        return min(map(space._distance_rows()[x].__getitem__, members))
 
-    def rho(x: str, members: tuple[str, ...]) -> float:
-        return _nearest(space, list(map(pos, members)), ((pos(x),),))[0][1]
-
-    return KappaCandidate("distance", space, rho)
+    return _built_in("distance", space, on_positions)
 
 
 def constant_candidate(space: GroundSpace, value: float = 1.0) -> KappaCandidate:
-    def rho(x: str, members: tuple[str, ...]) -> float:
+    def rho(x, members) -> float:  # reads neither, so it serves ids and positions alike
         return value
 
-    return KappaCandidate("constant", space, rho)
+    return _built_in("constant", space, rho, rho)
 
 
 def squared_distance_candidate(space: GroundSpace) -> KappaCandidate:
-    pos = space._index.__getitem__
+    def on_positions(x: int, members: tuple[int, ...]) -> float:
+        return min(map(space._distance_rows()[x].__getitem__, members)) ** 2
 
-    def rho(x: str, members: tuple[str, ...]) -> float:
-        return _nearest(space, list(map(pos, members)), ((pos(x),),))[0][1] ** 2
-
-    return KappaCandidate("squared-distance", space, rho)
+    return _built_in("squared-distance", space, on_positions)
 
 
 @dataclass(frozen=True)
@@ -119,34 +138,36 @@ def check_kappa_axioms(
 
 
 def _kappa_draws(space: GroundSpace, trials: int, seed: int):
-    """Yield ``(t, x, members, inside, outside, grown, x2, chain)`` for each trial.
+    """Yield ``(t, x, members, inside, outside, grown, x2, chain)`` for each trial, on positions.
 
-    Trial ``t`` draws from its own ``trial_rng(seed, t)``, in this order:
-    the point ``x``; the set ``members`` and a member ``inside``; if
-    ``members`` leaves points out, a point ``outside`` of it and a
-    superset ``grown``; on a space with coordinates, a second point
+    Points are positions in ``space`` and sets are tuples of positions in
+    ascending order. Trial ``t`` draws from its own ``trial_rng(seed, t)``,
+    in this order: the point ``x``; the set ``members`` and a member
+    ``inside``; if ``members`` leaves points out, a point ``outside`` of it
+    and a superset ``grown``; on a space with coordinates, a second point
     ``x2``; then a base set grown twice into the three-link ``chain``.
     ``outside`` and ``x2`` are ``None`` where nothing is drawn. A set that
     gains no point is the very object it grew from: ``grown is members``,
-    or a link ``is`` the link before it. No draw reads a candidate, so
-    one stream serves every candidate on the space.
+    or a link ``is`` the link before it. The draws are the ones a walk
+    over the point ids made, mapped to positions. No draw reads a
+    candidate, so one stream serves every candidate on the space.
     """
-    pids = list(space.point_ids)
-    n = len(pids)
+    n = len(space)
+    every = range(n)
 
     def rest(base):
-        return [p for p in pids if p not in base]
+        return [p for p in every if p not in base]
 
     def grow(rng, base, room):
         add = rand_int(rng, 0, len(room)) if room else 0
         if not add:
             return base
-        return tuple(space.ordered(set(base) | set(subset(rng, room, add))))
+        return tuple(sorted(base + tuple(subset(rng, room, add))))  # room is disjoint from base
 
     for t in range(trials):
         rng = trial_rng(seed, t)
-        x = choose(rng, pids)
-        members = tuple(subset(rng, pids, rand_int(rng, 1, n)))
+        x = choose(rng, every)
+        members = tuple(subset(rng, every, rand_int(rng, 1, n)))
         inside = choose(rng, members)
         outside = None
         grown = members
@@ -154,8 +175,8 @@ def _kappa_draws(space: GroundSpace, trials: int, seed: int):
         if complement:
             outside = choose(rng, complement)
             grown = grow(rng, members, complement)
-        x2 = choose(rng, pids) if space.has_coords else None
-        base = tuple(subset(rng, pids, rand_int(rng, 1, n)))
+        x2 = choose(rng, every) if space.has_coords else None
+        base = tuple(subset(rng, every, rand_int(rng, 1, n)))
         middle = grow(rng, base, rest(base))
         chain = (base, middle, grow(rng, middle, rest(middle)))
         yield t, x, members, inside, outside, grown, x2, chain
@@ -180,9 +201,22 @@ def _check_kappa(
     return [_check_candidate(candidate, draws, tol) for candidate in candidates]
 
 
+def _through_ids(candidate: KappaCandidate) -> Callable[[int, tuple[int, ...]], float]:
+    """A candidate's ``rho`` on positions, called with the ids of the point and the set."""
+    rho, ids = candidate.rho, candidate.space._ids.__getitem__
+    return lambda x, members: rho(ids(x), tuple(map(ids, members)))
+
+
 def _check_candidate(candidate: KappaCandidate, draws: list, tol: float) -> KappaAxiomReport:
+    """One candidate's report on position draws; K3's bound is a row entry, ids only in records."""
     space = candidate.space
-    rho = candidate.rho
+    rho = candidate._on_positions or _through_ids(candidate)
+    rows = space._distance_rows() if space.has_coords else None
+    pid = space._ids.__getitem__
+
+    def ids(points):
+        return list(map(pid, points))
+
     counterexamples: dict[str, dict | None] = {k: None for k in AXIOM_NAMES}
 
     for t, x, members, inside, outside, grown, x2, chain in draws:
@@ -191,8 +225,8 @@ def _check_candidate(candidate: KappaCandidate, draws: list, tol: float) -> Kapp
         if counterexamples["K1"] is None and val != 0.0:
             counterexamples["K1"] = {
                 "trial": t,
-                "point": inside,
-                "set": list(members),
+                "point": pid(inside),
+                "set": ids(members),
                 "value": val,
                 "detail": "nonzero on a member of the set",
             }
@@ -202,8 +236,8 @@ def _check_candidate(candidate: KappaCandidate, draws: list, tol: float) -> Kapp
             if counterexamples["K1"] is None and not val > 0.0:
                 counterexamples["K1"] = {
                     "trial": t,
-                    "point": outside,
-                    "set": list(members),
+                    "point": pid(outside),
+                    "set": ids(members),
                     "value": val,
                     "detail": "zero off the set",
                 }
@@ -214,9 +248,9 @@ def _check_candidate(candidate: KappaCandidate, draws: list, tol: float) -> Kapp
         if counterexamples["K2"] is None and not big_val <= small_val:
             counterexamples["K2"] = {
                 "trial": t,
-                "point": x,
-                "small_set": list(members),
-                "big_set": list(grown),
+                "point": pid(x),
+                "small_set": ids(members),
+                "big_set": ids(grown),
                 "small_value": small_val,
                 "big_value": big_val,
             }
@@ -224,13 +258,13 @@ def _check_candidate(candidate: KappaCandidate, draws: list, tol: float) -> Kapp
         # K3: 1-Lipschitz in the point argument
         if x2 is not None:
             lhs = abs(small_val - rho(x2, members))  # small_val is rho(x, members)
-            bound = distance(space, x, x2)
+            bound = rows[x][x2]
             if counterexamples["K3"] is None and not lhs <= bound + tol:
                 counterexamples["K3"] = {
                     "trial": t,
-                    "point_a": x,
-                    "point_b": x2,
-                    "set": list(members),
+                    "point_a": pid(x),
+                    "point_b": pid(x2),
+                    "set": ids(members),
                     "value_gap": lhs,
                     "distance": bound,
                 }
@@ -243,8 +277,8 @@ def _check_candidate(candidate: KappaCandidate, draws: list, tol: float) -> Kapp
         if counterexamples["K4"] is None and union_val != min(base_val, middle_val, union_val):
             counterexamples["K4"] = {
                 "trial": t,
-                "point": x,
-                "chain": [list(link) for link in chain],
+                "point": pid(x),
+                "chain": list(map(ids, chain)),
                 "chain_values": [base_val, middle_val, union_val],
                 "union_value": union_val,
             }

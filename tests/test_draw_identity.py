@@ -6,14 +6,16 @@ independent draws. This file keeps the scalar loops they replaced as
 references and compares, bit for bit, the objects each trial draws and
 the trial generator's final state. Reports of passing ``functor``,
 ``convexity``, ``lemmas`` and ``openmap`` runs carry only counts, so the
-recorded digests do not see these draws; this test does. The seeds and
-trial counts were fixed before the first run.
+recorded digests do not see these draws; this test does. The kappa
+checker draws positions where it drew ids; the id-valued loop is kept
+here too, and its draws must be the position draws mapped to ids. The
+seeds, spaces and trial counts were fixed before the first run.
 """
 
 import numpy as np
 import pytest
 
-from maxplus import suites
+from maxplus import kappametric, suites
 from maxplus.ground import FunctionTable, GroundSpace, PointMap, uniform_grid_1d, uniform_grid_2d
 from maxplus.functor import pushforward
 from maxplus.measures import IdempotentMeasure, _merge
@@ -301,3 +303,91 @@ def test_suite_loop_draws_like_the_scalar_loop(monkeypatch, suite, seed):
     assert report.passed
     assert len(kept.rngs) == trials
     kept.check(seed, ref_trial)
+
+
+# --- kappa draws on positions ----------------------------------------------------
+
+def ref_kappa_draws(space, trials, seed):
+    """The id-valued draw loop the kappa checker walked before it drew positions."""
+    pids = list(space.point_ids)
+    n = len(pids)
+
+    def rest(base):
+        return [p for p in pids if p not in base]
+
+    def grow(rng, base, room):
+        add = rand_int(rng, 0, len(room)) if room else 0
+        if not add:
+            return base
+        return tuple(space.ordered(set(base) | set(subset(rng, room, add))))
+
+    for t in range(trials):
+        rng = trial_rng(seed, t)
+        x = choose(rng, pids)
+        members = tuple(subset(rng, pids, rand_int(rng, 1, n)))
+        inside = choose(rng, members)
+        outside = None
+        grown = members
+        complement = rest(members)
+        if complement:
+            outside = choose(rng, complement)
+            grown = grow(rng, members, complement)
+        x2 = choose(rng, pids) if space.has_coords else None
+        base = tuple(subset(rng, pids, rand_int(rng, 1, n)))
+        middle = grow(rng, base, rest(base))
+        chain = (base, middle, grow(rng, middle, rest(middle)))
+        yield (t, x, members, inside, outside, grown, x2, chain), rng.bit_generator.state
+
+
+def kappa_spaces():
+    """Spaces with and without coordinates, some with ids out of sorted order."""
+    rng = np.random.default_rng(12)
+    scattered = rng.uniform(0.0, 10.0, (12, 2)).tolist()
+    return [
+        GroundSpace("one", ["p"]),
+        ref_plain_space("B5", 5),
+        GroundSpace("shuffled", [f"p{(7 * i) % 11}" for i in range(11)]),
+        uniform_grid_1d("H", 4),
+        uniform_grid_2d("G", 3),
+        GroundSpace("scattered", [(f"q{(5 * i) % 12}", tuple(c)) for i, c in enumerate(scattered)]),
+    ]
+
+
+@pytest.mark.parametrize("seed", SEEDS + (2**32 + 5,))
+@pytest.mark.parametrize("space", kappa_spaces(), ids=lambda s: s.id)
+def test_kappa_position_draws_are_the_id_draws(monkeypatch, space, seed):
+    rngs = []
+    real = kappametric.trial_rng
+
+    def trial_rng_kept(seed, trial):
+        rngs.append(real(seed, trial))
+        return rngs[-1]
+
+    monkeypatch.setattr(kappametric, "trial_rng", trial_rng_kept)
+    ids = space.point_ids
+    trials = 40
+    ref = ref_kappa_draws(space, trials, seed)
+    for new, (want, state) in zip(kappametric._kappa_draws(space, trials, seed), ref, strict=True):
+        t, x, members, inside, outside, grown, x2, chain = new
+        for points in (members, grown, *chain):
+            assert type(points) is tuple and list(points) == sorted(set(points)), f"trial {t}"
+        as_ids = (t, ids[x], tuple(ids[i] for i in members), ids[inside],
+                  None if outside is None else ids[outside], tuple(ids[i] for i in grown),
+                  None if x2 is None else ids[x2], tuple(tuple(ids[i] for i in link) for link in chain))
+        assert as_ids == want, f"trial {t}"
+        _, _, ref_members, _, _, ref_grown, _, ref_chain = want
+        assert (grown is members) == (ref_grown is ref_members), f"trial {t}"
+        assert (chain[1] is chain[0]) == (ref_chain[1] is ref_chain[0]), f"trial {t}"
+        assert (chain[2] is chain[1]) == (ref_chain[2] is ref_chain[1]), f"trial {t}"
+        assert rngs[-1].bit_generator.state == state, f"trial {t}"
+    assert len(rngs) == trials
+
+
+def test_the_kappa_spaces_reach_every_shape_of_draw():
+    shapes = set()
+    for space in kappa_spaces():
+        for seed in SEEDS + (2**32 + 5,):
+            for t, x, members, inside, outside, grown, x2, chain in kappametric._kappa_draws(space, 40, seed):
+                shapes |= {("outside", outside is None), ("grown", grown is members), ("x2", x2 is None),
+                           ("middle", chain[1] is chain[0]), ("union", chain[2] is chain[1])}
+    assert len(shapes) == 10

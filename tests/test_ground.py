@@ -21,7 +21,6 @@ from maxplus import (
     check_fiber_bounds,
     combine,
     compose,
-    distance,
     fiber_inf,
     fiber_points,
     fiber_sup,
@@ -139,12 +138,13 @@ def test_coords_requires_metric(abc_space, segment_space):
 
 
 def test_distance_is_euclidean(segment_space):
-    assert distance(segment_space, "g0", "g4") == 1.0
-    assert distance(segment_space, "a0", "g1") == pytest.approx(0.05)
+    coords = segment_space.coords
+    assert math.dist(coords("g0"), coords("g4")) == 1.0
+    assert math.dist(coords("a0"), coords("g1")) == pytest.approx(0.05)
     pts = (Point("p", (0.0, 0.0)), Point("q", (3.0, 4.0)))
     sq = GroundSpace("S", pts)
     assert sq.points == pts
-    assert distance(sq, "p", "q") == 5.0
+    assert math.dist(sq.coords("p"), sq.coords("q")) == 5.0
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ checked together with the others in one shared stream.
 """
 
 import json
+import math
 import random
 
 import pytest
@@ -22,7 +23,6 @@ from maxplus import (
     squared_distance_candidate,
     uniform_grid_2d,
 )
-from maxplus.ground import distance
 from maxplus.kappametric import AXIOM_NAMES, _check_kappa, _kappa_draws
 from maxplus.rng import choose, rand_int, subset, trial_rng
 
@@ -87,7 +87,7 @@ def ref_check_kappa_axioms(candidate, trials, seed, tol):
         if check_k3:
             x2 = choose(rng, pids)
             lhs = abs(small_val - rho(x2, members))  # small_val is rho(x, members)
-            bound = distance(space, x, x2)
+            bound = math.dist(space.coords(x), space.coords(x2))
             if counterexamples["K3"] is None and not lhs <= bound + tol:
                 counterexamples["K3"] = {
                     "trial": t,

@@ -1,6 +1,9 @@
 """Distance-to-set functionals and the membership-function axioms."""
 
+import dataclasses
+import json
 import math
+import random
 
 import pytest
 
@@ -8,6 +11,7 @@ from maxplus import (
     GroundSpace,
     KappaAxiomReport,
     KappaCandidate,
+    MetricUnavailableError,
     Point,
     ValidationError,
     check_kappa_axioms,
@@ -18,6 +22,8 @@ from maxplus import (
     suites,
     uniform_grid_2d,
 )
+from maxplus import ground
+from maxplus.ground import _KEPT_ROWS, _nearest
 from tests.conftest import on_both_geometry_paths
 
 PLANE = GroundSpace(
@@ -205,3 +211,92 @@ def test_a_set_that_did_not_grow_is_not_evaluated_again():
         if outside is not None:
             shapes.add(grew)
     assert shapes == {False, True}  # extra == 0 costs one call fewer than a grown set
+
+
+# ---------------------------------------------------------------------------
+# The public contract: ids in, ids out
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", [distance_candidate, squared_distance_candidate])
+def test_a_distance_candidate_on_a_bare_space_fails_at_its_first_call(make):
+    bare = GroundSpace("B", ["a", "b", "c"])
+    candidate = make(bare)  # building it needs no metric
+    with pytest.raises(MetricUnavailableError):
+        candidate.rho("a", ("b",))
+    with pytest.raises(MetricUnavailableError):
+        check_kappa_axioms(candidate, trials=3, seed=0)
+
+
+def random_coordinate_spaces():
+    rng = random.Random(8)
+    spaces = []
+    for i, (n, d) in enumerate(((1, 1), (2, 2), (7, 3), (12, 2), (20, 2), (40, 1), (300, 2))):
+        coords = set()
+        while len(coords) < n:
+            coords.add(tuple(rng.uniform(-10.0, 10.0) for _ in range(d)))
+        spaces.append(GroundSpace(f"R{i}", [(f"r{j}", c) for j, c in enumerate(sorted(coords))]))
+    return spaces
+
+
+@on_both_geometry_paths
+def test_public_rho_is_the_nearest_point_kernel_bit_for_bit():
+    rng = random.Random(3)
+    for space in random_coordinate_spaces():
+        distance, squared = distance_candidate(space).rho, squared_distance_candidate(space).rho
+        ids = space.point_ids
+        asked = set()
+        for _ in range(50):
+            x = rng.choice(ids)
+            asked.add(x)
+            members = tuple(space.ordered(rng.sample(ids, rng.randint(1, len(ids)))))
+            [(_, want)] = _nearest(space, list(map(space.index, members)), ((space.index(x),),))
+            assert distance(x, members).hex() == want.hex()
+            assert squared(x, members).hex() == (want**2).hex()
+        # a space above _KEPT_ROWS points keeps no row; a smaller one keeps one per point asked about
+        assert len(space._distance_rows()) == (0 if len(space) > _KEPT_ROWS else len(asked))
+
+
+def test_rows_read_alike_kept_or_not(monkeypatch):
+    [big] = [space for space in random_coordinate_spaces() if len(space) > _KEPT_ROWS]
+
+    def reports():
+        candidates = (distance_candidate(big), squared_distance_candidate(big))
+        return [json.dumps(r.as_dict()) for r in kappametric._check_kappa(candidates, 30, 4, 1e-12)]
+
+    lazy = reports()
+    assert len(big._distance_rows()) == 0
+    monkeypatch.setattr(ground, "_KEPT_ROWS", len(big))
+    assert reports() == lazy
+    assert len(big._distance_rows()) > 0
+
+
+def test_a_user_candidate_sees_ids_and_its_records_name_ids():
+    space = uniform_grid_2d("G", 3)
+    ids = set(space.point_ids)
+    seen = []
+
+    def rho(x, members):
+        seen.append((x, members))
+        return float(len(members)) * (1.0 if x in members else 10.0)
+
+    report = check_kappa_axioms(KappaCandidate("sizes", space, rho), trials=200, seed=1)
+    assert seen and all(
+        type(x) is str and x in ids and type(m) is tuple and set(map(type, m)) == {str} and set(m) <= ids
+        for x, m in seen
+    )
+    assert {k: a["status"] for k, a in report.axioms.items()} == dict.fromkeys(("K1", "K2", "K3", "K4"), "fail")
+    for axiom in report.axioms.values():
+        record = axiom["counterexample"]
+        for key in ("point", "point_a", "point_b"):
+            assert key not in record or record[key] in ids
+        for key in ("set", "small_set", "big_set"):
+            assert key not in record or (type(record[key]) is list and set(record[key]) <= ids)
+        assert all(set(link) <= ids for link in record.get("chain", ()))
+
+
+def test_a_candidate_with_a_replaced_rho_is_checked_through_it():
+    constant = dataclasses.replace(distance_candidate(PLANE), rho=lambda x, members: 1.0)
+    report = check_kappa_axioms(constant, trials=50, seed=5)
+    assert report.axioms["K1"]["status"] == "fail"
+    assert report.axioms["K1"]["counterexample"]["value"] == 1.0

@@ -12,9 +12,12 @@ The last tests pin what the suites' sized draws rely on: one sized
 same values as that many scalar calls and leaves the same generator state.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from maxplus.cli import main
 from maxplus.rng import choose, rand_int, rand_uniform, subset, trial_rng
 
 PAIRS = ((0, 0), (1, 7), (2**31 - 1, 499))
@@ -135,3 +138,42 @@ def test_sized_uniform_draws_like_scalar_calls(seed, trial, lead, shape):
     scalar = [float(b.uniform(-10.0, 10.0)).hex() for _ in range(sized.size)]
     bits = list(map(float.hex, sized.ravel().tolist()))
     _same_draw("uniform", (bits, a.bit_generator.state), (scalar, b.bit_generator.state), seed, trial, lead)
+
+
+# --- the two ways ``trial_rng`` hands its entropy to SeedSequence -----------------
+
+EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 + 1)
+GRID = tuple((s, t) for s in EDGES for t in EDGES) + tuple((s, t) for s in range(4) for t in range(0, 300, 37))
+GRID += ((True, 0), (np.int64(5), 3))  # not ints: they go in as the list
+
+
+@pytest.mark.parametrize("seed,trial", GRID)
+def test_uint32_words_and_the_list_seed_one_stream(seed, trial):
+    """Seed and trial below 2**32 go in as uint32 words, others as a list: the raw stream is the list's."""
+    listed = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, trial])))
+    rng = trial_rng(seed, trial)
+    assert rng.bit_generator.random_raw(8).tolist() == listed.bit_generator.random_raw(8).tolist()
+    assert rng.bit_generator.state == listed.bit_generator.state
+
+
+@pytest.mark.parametrize("seed,trial", [(-1, 0), (0, -1), (1.5, 0), (0, 2.0)])
+def test_seeds_the_list_refuses_are_refused(seed, trial):
+    with pytest.raises((TypeError, ValueError)) as listed:
+        np.random.SeedSequence([seed, trial])
+    with pytest.raises(listed.type):
+        trial_rng(seed, trial)
+
+
+# ``check`` stdout with a seed above 2**32, whose trials seed through the list:
+# recorded before ``trial_rng`` took the uint32 path.
+LIST_SEEDED = {
+    ("kappa", 2**64 + 1): "292b715597c7f2dcfdf5d38970cee0ca1f3b599d96d9656c8fa7a218525deaa2",
+    ("convexity", 2**32): "f44321b0b6dda2059256845872511501a38f8fc3c1e3a16b6b84e87728006ac3",
+}
+
+
+@pytest.mark.parametrize("suite,seed", sorted(LIST_SEEDED))
+def test_check_stdout_with_a_seed_above_2_32(monkeypatch, capsys, suite, seed):
+    monkeypatch.delenv("MAXPLUS_TOL", raising=False)
+    assert main(["check", suite, "--seed", str(seed)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == LIST_SEEDED[(suite, seed)]

@@ -23,8 +23,7 @@ EXPORTS = [
     "NoMassError", "NormAxiomError", "Point", "PointMap", "SUITES", "SpaceMismatchError",
     "SuiteReport", "UnknownPointError", "ValidationError", "WeakNeighborhood",
     "approximate_on_dense", "check_axioms", "check_fiber_bounds", "check_kappa_axioms",
-    "combine", "compose", "constant_candidate", "distance",
-    "distance_candidate", "fiber_inf", "fiber_points", "fiber_sup", "identity_map",
+    "combine", "compose", "constant_candidate", "distance_candidate", "fiber_inf", "fiber_points", "fiber_sup", "identity_map",
     "lift_toward", "make_measure", "max_weight_gap", "min_plus_functional",
     "preimage_contains", "pullback", "pushforward", "sample_preimage",
     "squared_distance_candidate", "sum_functional", "support_displacement",
