@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -164,11 +164,11 @@ class GroundSpace:
 
 
 _KEPT_ROWS = 256
-"""Point count up to which a space keeps the distance rows it makes.
+"""Point count up to which :func:`_set_distance` reads kept rows of distances.
 
 A kept row holds one float per point, so such a space keeps at most
-``256**2`` floats (2 MB). A larger space hands out each row as a
-:class:`_LazyRow` and keeps none.
+``256**2`` floats (2 MB). A larger space keeps none, and its distances to
+sets are asked of :func:`_nearest` as they come.
 """
 
 
@@ -186,25 +186,23 @@ class _DistanceRows(dict):
         super().__init__()
         self._coords = coords
 
-    def __missing__(self, x: int) -> list[float] | _LazyRow:
+    def __missing__(self, x: int) -> list[float]:
         coords = self._coords
-        if len(coords) > _KEPT_ROWS:
-            return _LazyRow(coords[x], coords)
         row = self[x] = list(map(math.dist, repeat(coords[x]), coords))
         return row
 
 
-class _LazyRow:
-    """A distance row that computes an entry each time it is read."""
+def _set_distance(space: GroundSpace) -> Callable[[int, Sequence[int]], float]:
+    """The distance from a position to a nonempty set of positions, as a function of the two.
 
-    __slots__ = ("_at", "_coords")
-
-    def __init__(self, at: tuple[float, ...], coords: list[tuple[float, ...]]):
-        self._at = at
-        self._coords = coords
-
-    def __getitem__(self, j: int) -> float:
-        return math.dist(self._at, self._coords[j])
+    Up to ``_KEPT_ROWS`` points it is the least entry of the point's row in
+    the space's :class:`_DistanceRows`; above, it is :func:`_nearest`'s
+    answer. Both are the same ``math.dist`` floats. A space without
+    coordinates raises :class:`MetricUnavailableError` at the first call.
+    """
+    if len(space) > _KEPT_ROWS:
+        return lambda x, members: _nearest(space, list(members), ((x,),))[0][1]
+    return lambda x, members: min(map(space._distance_rows()[x].__getitem__, members))
 
 
 def _split(points: Iterable[PointLike]) -> tuple[list[str], list | None]:

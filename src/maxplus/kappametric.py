@@ -24,11 +24,12 @@ counterexample records and for the ``rho`` of a candidate built by hand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import ValidationError
-from .ground import GroundSpace
+from .ground import GroundSpace, _set_distance
 from .rng import choose, rand_int, subset, trial_rng
 
 AXIOM_NAMES = {
@@ -74,10 +75,7 @@ def _built_in(name: str, space: GroundSpace, on_positions, rho=None) -> KappaCan
 
 
 def distance_candidate(space: GroundSpace) -> KappaCandidate:
-    def on_positions(x: int, members: tuple[int, ...]) -> float:
-        return min(map(space._distance_rows()[x].__getitem__, members))
-
-    return _built_in("distance", space, on_positions)
+    return _built_in("distance", space, _set_distance(space))
 
 
 def constant_candidate(space: GroundSpace, value: float = 1.0) -> KappaCandidate:
@@ -88,8 +86,10 @@ def constant_candidate(space: GroundSpace, value: float = 1.0) -> KappaCandidate
 
 
 def squared_distance_candidate(space: GroundSpace) -> KappaCandidate:
+    to_set = _set_distance(space)
+
     def on_positions(x: int, members: tuple[int, ...]) -> float:
-        return min(map(space._distance_rows()[x].__getitem__, members)) ** 2
+        return to_set(x, members) ** 2
 
     return _built_in("squared-distance", space, on_positions)
 
@@ -208,10 +208,10 @@ def _through_ids(candidate: KappaCandidate) -> Callable[[int, tuple[int, ...]], 
 
 
 def _check_candidate(candidate: KappaCandidate, draws: list, tol: float) -> KappaAxiomReport:
-    """One candidate's report on position draws; K3's bound is a row entry, ids only in records."""
+    """One candidate's report on position draws; ids appear only in records."""
     space = candidate.space
     rho = candidate._on_positions or _through_ids(candidate)
-    rows = space._distance_rows() if space.has_coords else None
+    coords = space._tuples() if space.has_coords else None
     pid = space._ids.__getitem__
 
     def ids(points):
@@ -258,7 +258,7 @@ def _check_candidate(candidate: KappaCandidate, draws: list, tol: float) -> Kapp
         # K3: 1-Lipschitz in the point argument
         if x2 is not None:
             lhs = abs(small_val - rho(x2, members))  # small_val is rho(x, members)
-            bound = rows[x][x2]
+            bound = math.dist(coords[x], coords[x2])
             if counterexamples["K3"] is None and not lhs <= bound + tol:
                 counterexamples["K3"] = {
                     "trial": t,

@@ -219,11 +219,12 @@ def test_a_set_that_did_not_grow_is_not_evaluated_again():
 
 
 @pytest.mark.parametrize("make", [distance_candidate, squared_distance_candidate])
-def test_a_distance_candidate_on_a_bare_space_fails_at_its_first_call(make):
-    bare = GroundSpace("B", ["a", "b", "c"])
+@pytest.mark.parametrize("n", [3, _KEPT_ROWS + 1])  # kept rows, then _nearest
+def test_a_distance_candidate_on_a_bare_space_fails_at_its_first_call(make, n):
+    bare = GroundSpace("B", [f"b{i}" for i in range(n)])
     candidate = make(bare)  # building it needs no metric
     with pytest.raises(MetricUnavailableError):
-        candidate.rho("a", ("b",))
+        candidate.rho("b0", ("b1",))
     with pytest.raises(MetricUnavailableError):
         check_kappa_axioms(candidate, trials=3, seed=0)
 
@@ -253,21 +254,21 @@ def test_public_rho_is_the_nearest_point_kernel_bit_for_bit():
             [(_, want)] = _nearest(space, list(map(space.index, members)), ((space.index(x),),))
             assert distance(x, members).hex() == want.hex()
             assert squared(x, members).hex() == (want**2).hex()
-        # a space above _KEPT_ROWS points keeps no row; a smaller one keeps one per point asked about
+        # a space above _KEPT_ROWS points asks _nearest and keeps no row; a smaller one keeps one per point asked about
         assert len(space._distance_rows()) == (0 if len(space) > _KEPT_ROWS else len(asked))
 
 
-def test_rows_read_alike_kept_or_not(monkeypatch):
+def test_kept_rows_and_the_kernel_give_one_report(monkeypatch):
     [big] = [space for space in random_coordinate_spaces() if len(space) > _KEPT_ROWS]
 
     def reports():
         candidates = (distance_candidate(big), squared_distance_candidate(big))
         return [json.dumps(r.as_dict()) for r in kappametric._check_kappa(candidates, 30, 4, 1e-12)]
 
-    lazy = reports()
+    kernel = reports()
     assert len(big._distance_rows()) == 0
     monkeypatch.setattr(ground, "_KEPT_ROWS", len(big))
-    assert reports() == lazy
+    assert reports() == kernel
     assert len(big._distance_rows()) > 0
 
 
