@@ -1,9 +1,11 @@
 """Seeded property suites behind ``check``.
 
-Each suite draws every trial from its own generator seeded by (master
-seed, trial index), so single trials replay independently and results
-never depend on execution order. Reports carry one record per failed
-check with an input digest sufficient to reproduce the trial.
+Each suite is a draw step and a check step. One driver, ``_run``, seeds
+every trial from ``trial_rng(seed, t)``; all of a trial's inputs are drawn
+before any of its checks runs, and no check draws from the trial's
+generator, so a single trial can be drawn again on its own. Reports carry
+one record per failed check with an input digest sufficient to reproduce
+the trial.
 
 A run of independent draws with equal bounds and a known count is one sized
 call; ``tests/test_rng_stream.py`` pins that it draws as the scalar calls would.
@@ -170,6 +172,12 @@ def _measure_dict(mu: IdempotentMeasure) -> dict:
     return {"space": mu.space_id, "atoms": dict(mu.atoms())}
 
 
+def _run(report: SuiteReport, draw, check) -> None:
+    """Each trial in turn: ``draw(rng, t)`` returns its inputs, then ``check`` records failures."""
+    for t in range(report.trials):
+        check(report, t, **draw(trial_rng(report.seed, t), t))
+
+
 # --- axioms ----------------------------------------------------------------
 
 def run_axioms(trials: int = 1000, seed: int = 0, tol: float = 1e-12) -> SuiteReport:
@@ -188,21 +196,24 @@ def run_axioms(trials: int = 1000, seed: int = 0, tol: float = 1e-12) -> SuiteRe
     n = len(space.point_ids)
     inner = 100
 
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+    def draw(rng, t):
         mu = _random_measure(rng, space)
         phi = rng.uniform(-10.0, 10.0, (inner, n))
         psi = rng.uniform(-10.0, 10.0, (inner, n))
         lam = rng.uniform(-5.0, 5.0, inner)
         eta = rng.uniform(0.0, 5.0, (inner, n))
+        return {"mu": mu, "phi": phi, "psi": psi, "lam": lam, "eta": eta}
+
+    def check(report, t, mu, phi, psi, lam, eta):
         failure = _first_law_failure(phi, psi, lam, lambda rows: _integrate_rows(mu, rows), tol, eta)
         if failure is None:
-            continue
-        _, check, expected, actual = failure
-        if check == "order-preservation":
+            return
+        _, law, expected, actual = failure
+        if law == "order-preservation":
             expected = f">= {expected}"
-        inputs = {"measure": _measure_dict(mu), "trial": t}
-        report.fail(t, check, inputs, expected, actual)
+        report.fail(t, law, {"measure": _measure_dict(mu), "trial": t}, expected, actual)
+
+    _run(report, draw, check)
 
     witness = _plain_space("B", 2)
     flat = IdempotentMeasure(witness, {"p0": 0.0, "p1": 0.0})
@@ -234,18 +245,18 @@ def run_functor(trials: int = 500, seed: int = 0) -> SuiteReport:
         "functor", trials, seed, ("identity", "composition", "support_image", "duality")
     )
 
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+    def draw(rng, t):
         sx, sy, sz = map(_plain_space, (f"X{t}", f"Y{t}", f"Z{t}"), rng.integers(2, 13, size=3).tolist())
         f = _random_map(rng, sx, sy)
         g = _random_map(rng, sy, sz)
         mu = _random_measure(rng, sx)
-        # all three duality tables in one draw: the stream ends with the trial, so a break hides the rest
-        tables = rng.uniform(-10.0, 10.0, (3, len(sy)))
+        return {"f": f, "g": g, "mu": mu, "tables": rng.uniform(-10.0, 10.0, (3, len(sy)))}
+
+    def check(report, t, f, g, mu, tables):
         def inputs():
             return {"trial": t, "f": dict(f.assign), "g": dict(g.assign), "measure": _measure_dict(mu)}
 
-        if pushforward(identity_map(sx), mu) != mu:
+        if pushforward(identity_map(f.source), mu) != mu:
             report.fail(t, "identity", inputs, "mu", "changed by identity pushforward")
 
         gf = compose(g, f)
@@ -259,7 +270,7 @@ def run_functor(trials: int = 500, seed: int = 0) -> SuiteReport:
             report.fail(t, "support_image", inputs, "support equals image of support", "mismatch")
 
         for row in tables:
-            phi = FunctionTable._trusted(sy, row)
+            phi = FunctionTable._trusted(f.target, row)
             # Exact: each side rounds w + phi(f x) once per atom, and since
             # rounding is monotone the per-fiber max commutes with it.
             lhs = image_mu.integrate(phi)
@@ -268,6 +279,7 @@ def run_functor(trials: int = 500, seed: int = 0) -> SuiteReport:
                 report.fail(t, "duality", inputs, rhs, lhs)
                 break
 
+    _run(report, draw, check)
     return report
 
 
@@ -290,17 +302,14 @@ def run_convexity(trials: int = 500, seed: int = 0) -> SuiteReport:
         "convexity", trials, seed, ("preimage", "support_subset", "support_union", "cardinality")
     )
 
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+    def draw(rng, t):
         sx = _plain_space(f"X{t}", rand_int(rng, 2, 12))
         sy = _plain_space(f"Y{t}", rand_int(rng, 1, 12))
         f = _random_map(rng, sx, sy)
         image = [y for y in sy.point_ids if y in f.image]
         k = rand_int(rng, 1, min(8, len(image)))
         nu = IdempotentMeasure(sy, _random_weights(rng, subset(rng, image, k)))
-
-        mu1, mu2 = (sample_preimage(f, nu, s) for s in rng.integers(0, 2**31, size=2).tolist())
-
+        seeds = rng.integers(0, 2**31, size=2).tolist()
         case = _COEFF_CASES[t % len(_COEFF_CASES)]
         if case == "both-zero":
             alpha, beta = 0.0, 0.0
@@ -312,6 +321,10 @@ def run_convexity(trials: int = 500, seed: int = 0) -> SuiteReport:
             alpha, beta = -math.inf, 0.0
         else:
             alpha, beta = 0.0, -math.inf
+        return {"f": f, "nu": nu, "seeds": seeds, "case": case, "alpha": alpha, "beta": beta}
+
+    def check(report, t, f, nu, seeds, case, alpha, beta):
+        mu1, mu2 = (sample_preimage(f, nu, s) for s in seeds)
         combo = combine(alpha, mu1, beta, mu2)
 
         def inputs():
@@ -331,6 +344,7 @@ def run_convexity(trials: int = 500, seed: int = 0) -> SuiteReport:
         if not len(combo) <= len(mu1) + len(mu2):
             report.fail(t, "cardinality", inputs, f"<= {len(mu1) + len(mu2)}", len(combo))
 
+    _run(report, draw, check)
     report.details["coefficient_cases"] = list(_COEFF_CASES)
     return report
 
@@ -374,9 +388,9 @@ def run_density(trials: int = 200, seed: int = 0) -> SuiteReport:
     grid_ids = tuple(f"g{i}" for i in range(n_grid))
     grid_coords = tuple(i * pitch for i in range(n_grid))
     grid = np.array(grid_coords)
+    grid_points = [(g, (x,)) for g, x in zip(grid_ids, grid_coords)]
 
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+    def draw(rng, t):
         s = rand_int(rng, 1, 8)
         used = set(grid_coords)
         atom_coords = []
@@ -386,25 +400,23 @@ def run_density(trials: int = 200, seed: int = 0) -> SuiteReport:
             used.add(c)
             atom_coords.append(c)
         atom_ids = tuple(f"a{j}" for j in range(s))
-        points = [(g, (x,)) for g, x in zip(grid_ids, grid_coords)]
-        points += [(a, (c,)) for a, c in zip(atom_ids, atom_coords)]
-        space = GroundSpace(f"D{t}", points)
-
+        space = GroundSpace(f"D{t}", grid_points + [(a, (c,)) for a, c in zip(atom_ids, atom_coords)])
         mu = IdempotentMeasure(space, _random_weights(rng, atom_ids))
-
         k = rand_int(rng, 1, 5)
         atoms = np.array(atom_coords)
-        tests = [_lipschitz_table(rng, space, grid, atoms) for _ in range(k)]
+        return {"mu": mu, "tests": [_lipschitz_table(rng, space, grid, atoms) for _ in range(k)]}
+
+    def check(report, t, mu, tests):
         eps = epsilons[t % 2]
         def inputs():
-            return {"trial": t, "epsilon": eps, "atoms": dict(mu.atoms()), "tables": k}
+            return {"trial": t, "epsilon": eps, "atoms": dict(mu.atoms()), "tables": len(tests)}
 
         try:
             nu = approximate_on_dense(mu, grid_ids, tests, eps)
         except DenseSetTooCoarseError as exc:
             report.fail(t, "approximation", inputs, f"discrepancy below {eps}",
                         exc.worst_discrepancy)
-            continue
+            return
         if not WeakNeighborhood(mu, tuple(tests), eps).contains(nu):
             report.fail(t, "containment", inputs, "inside neighborhood", "outside")
         if not set(nu.support) <= set(grid_ids):
@@ -413,11 +425,10 @@ def run_density(trials: int = 200, seed: int = 0) -> SuiteReport:
         if not len(nu) <= len(mu):
             report.fail(t, "support_size", inputs, f"<= {len(mu)}", len(nu))
 
+    _run(report, draw, check)
     # Deliberately under-resolved: a mid-cell atom at epsilon far below
     # the half-pitch resolution bound must be rejected.
-    demo_points = [(g, (x,)) for g, x in zip(grid_ids, grid_coords)]
-    demo_points.append(("a0", (0.505,)))
-    demo_space = GroundSpace("Ddemo", demo_points)
+    demo_space = GroundSpace("Ddemo", grid_points + [("a0", (0.505,))])
     demo_mu = IdempotentMeasure.dirac(demo_space, "a0")
     identity_table = FunctionTable._trusted(demo_space, demo_space._xy[:, 0])
     demo_eps = 0.001
@@ -468,21 +479,20 @@ def run_openmap(trials: int = 200, seed: int = 0) -> SuiteReport:
         for axis in (0, 1)
     }
 
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+    def draw(rng, t):
         n = sizes[t % len(sizes)]
         axis = t % 2
-        pitch = 1.0 / (n - 1)
-        f = projections[(n, axis)]
-        plane, line = planes[n], lines[n]
-
-        mu0 = _random_measure(rng, plane)
-        nu0 = pushforward(f, mu0)
+        mu0 = _random_measure(rng, planes[n])
+        nu0 = pushforward(projections[(n, axis)], mu0)
         max_offset = int(delta * (n - 1))
         offsets = rng.integers(-max_offset, max_offset + 1, size=len(nu0)).tolist()
         slid = [min(max(i + d, 0), n - 1) for i, d in zip(nu0._idx.tolist(), offsets)]
-        nu_prime = IdempotentMeasure._trusted(line, *_merge(line, slid, nu0._w.tolist()))
+        nu_prime = IdempotentMeasure._trusted(lines[n], *_merge(lines[n], slid, nu0._w.tolist()))
+        return {"n": n, "axis": axis, "mu0": mu0, "nu0": nu0, "nu_prime": nu_prime}
 
+    def check(report, t, n, axis, mu0, nu0, nu_prime):
+        f = projections[(n, axis)]
+        pitch = 1.0 / (n - 1)
         def inputs():
             return {"trial": t, "grid": n, "axis": axis, "mu0": _measure_dict(mu0),
                     "nu_prime": _measure_dict(nu_prime)}
@@ -501,6 +511,7 @@ def run_openmap(trials: int = 200, seed: int = 0) -> SuiteReport:
         if not moved <= delta + pitch:
             report.fail(t, "displacement", inputs, f"<= {delta + pitch}", moved)
 
+    _run(report, draw, check)
     report.details["delta"] = delta
     report.details["grid_sizes"] = list(sizes)
     return report
@@ -520,14 +531,19 @@ def run_lemmas(trials: int = 500, seed: int = 0) -> SuiteReport:
         "lemmas", trials, seed, ("dominated", "extreme_attained", "fiber_bounds")
     )
 
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+    def draw(rng, t):
         ny = rand_int(rng, 1, 6)
         nx = rand_int(rng, ny, 12)
         sx = _plain_space(f"X{t}", nx)
         sy = _plain_space(f"Y{t}", ny)
         f = _random_surjective_map(rng, sx, sy)
         phi = FunctionTable._trusted(sx, rng.uniform(-10.0, 10.0, nx))
+        y0 = choose(rng, list(sy.point_ids))
+        pts = list(fiber_points(f, y0))
+        sub = subset(rng, pts, rand_int(rng, 1, len(pts)))
+        return {"f": f, "phi": phi, "y0": y0, "nu": IdempotentMeasure(sx, _random_weights(rng, sub))}
+
+    def check(report, t, f, phi, y0, nu):
         lower = fiber_inf(f, phi)
         upper = fiber_sup(f, phi)
         def inputs():
@@ -542,19 +558,16 @@ def run_lemmas(trials: int = 500, seed: int = 0) -> SuiteReport:
             fiber_values = list(map(values.__getitem__, fiber))
             if low[j] not in fiber_values or up[j] not in fiber_values:
                 report.fail(t, "extreme_attained", inputs, "extremes attained in every fiber",
-                            f"not attained over {sy._ids[j]!r}")
+                            f"not attained over {f.target._ids[j]!r}")
                 break
 
-        y0 = choose(rng, list(sy.point_ids))
-        pts = list(fiber_points(f, y0))
-        sub = subset(rng, pts, rand_int(rng, 1, len(pts)))
-        nu = IdempotentMeasure(sx, _random_weights(rng, sub))
         bound = check_fiber_bounds(f, y0, nu, phi)
         if not (bound.applicable and bound.passed):
             report.fail(t, "fiber_bounds", {**inputs(), "nu": _measure_dict(nu), "y0": y0},
                         f"{bound.lower} <= integral <= {bound.upper}",
                         bound.integral if bound.applicable else "inapplicable")
 
+    _run(report, draw, check)
     return report
 
 
@@ -586,10 +599,10 @@ def run_kappa(trials: int = 100, seed: int = 0, tol: float = 1e-12) -> SuiteRepo
     report = SuiteReport("kappa", trials, seed=seed)
     inner = 10
 
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        space = _random_metric_space(rng, f"K{t}")
-        child_seed = rand_int(rng, 0, 2**31 - 1)
+    def draw(rng, t):
+        return {"space": _random_metric_space(rng, f"K{t}"), "child_seed": rand_int(rng, 0, 2**31 - 1)}
+
+    def check(report, t, space, child_seed):
         result = check_kappa_axioms(distance_candidate(space), inner, child_seed, tol)
         if not result.passed:
             failed = {
@@ -598,6 +611,7 @@ def run_kappa(trials: int = 100, seed: int = 0, tol: float = 1e-12) -> SuiteRepo
             report.fail(t, "distance_axioms", {"trial": t, "points": len(space)},
                         "all axioms pass", json.dumps(failed, sort_keys=True))
 
+    _run(report, draw, check)
     witness_rng = trial_rng(seed, trials)
     witness = _random_metric_space(witness_rng, "Kwitness", max_points=12)
     counterfeits = report.details["counterfeits"] = {}

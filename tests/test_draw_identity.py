@@ -3,13 +3,17 @@
 The suites draw maps, weights, space sizes, tables, child seeds, atom
 coordinates and offsets as one sized ``Generator`` call per run of
 independent draws. This file keeps the scalar loops they replaced as
-references and compares, bit for bit, the objects each trial draws and
-the trial generator's final state. Reports of passing ``functor``,
-``convexity``, ``lemmas`` and ``openmap`` runs carry only counts, so the
-recorded digests do not see these draws; this test does. The kappa
-checker draws positions where it drew ids; the id-valued loop is kept
-here too, and its draws must be the position draws mapped to ids. The
-seeds, spaces and trial counts were fixed before the first run.
+references. Each suite draws all of a trial's inputs before any of its
+checks runs, no check draws from the trial's generator, and one driver,
+``suites._run``, seeds every trial; so a wrapper around the draw step the
+driver receives sees every trial's inputs, and they are compared, bit for
+bit, with what the reference draws, as is the trial generator's state at
+the end of the run. Reports of passing ``functor``, ``convexity``,
+``lemmas`` and ``openmap`` runs carry only counts, so the recorded digests
+do not see these draws; this test does. The kappa checker draws positions
+where it drew ids; the id-valued loop is kept here too, and its draws must
+be the position draws mapped to ids. The seeds, spaces and trial counts
+were fixed before the first run.
 """
 
 import numpy as np
@@ -75,6 +79,10 @@ def canon(obj):
         return ("table", obj.space_id, obj.space.point_ids, obj._v.tobytes())
     if isinstance(obj, dict):
         return [(k, canon(v)) for k, v in obj.items()]
+    if isinstance(obj, (list, tuple)):
+        return [canon(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return ("array", obj.dtype.str, obj.shape, obj.tobytes())
     if isinstance(obj, float):
         return obj.hex()
     assert type(obj) in (int, str), type(obj)
@@ -122,51 +130,14 @@ def test_random_measure_and_plain_space(seed, trial, size):
 
 # --- suite loops -----------------------------------------------------------------
 
-class Trials:
-    """The generator of every trial a suite runs, and what the trial drew.
-
-    ``spy(name, record)`` wraps the suite module's ``name``; each call first
-    hands the current trial's record and the call's arguments to ``record``.
-    """
-
-    def __init__(self, monkeypatch):
-        self.monkeypatch = monkeypatch
-        self.rngs, self.drawn = [], []
-        real = suites.trial_rng
-
-        def trial_rng_kept(seed, trial):
-            self.rngs.append(real(seed, trial))
-            self.drawn.append({})
-            return self.rngs[-1]
-        monkeypatch.setattr(suites, "trial_rng", trial_rng_kept)
-
-    def spy(self, name, record):
-        real = getattr(suites, name)
-
-        def spied(*args):
-            record(self.drawn[-1], *args)
-            return real(*args)
-        self.monkeypatch.setattr(suites, name, spied)
-
-    def check(self, seed, ref_trial):
-        for t, (rng, drawn) in enumerate(zip(self.rngs, self.drawn)):
-            ref_rng = trial_rng(seed, t)
-            assert drawn == ref_trial(ref_rng, t), f"trial {t}"
-            assert rng.bit_generator.state == ref_rng.bit_generator.state, f"trial {t}"
-
-
-def first(key):
-    return lambda drawn, obj, *_: drawn.setdefault(key, canon(obj))
-
-
 def ref_axioms_trial(rng, t):
     n = 10
     mu = ref_random_measure(rng, ref_plain_space("A", n))
-    for shape in ((100, n), (100, n)):
-        rng.uniform(-10.0, 10.0, shape)
-    rng.uniform(-5.0, 5.0, 100)
-    rng.uniform(0.0, 5.0, (100, n))
-    return {"mu": canon(mu)}
+    phi = rng.uniform(-10.0, 10.0, (100, n))
+    psi = rng.uniform(-10.0, 10.0, (100, n))
+    lam = rng.uniform(-5.0, 5.0, 100)
+    eta = rng.uniform(0.0, 5.0, (100, n))
+    return {"mu": mu, "phi": phi, "psi": psi, "lam": lam, "eta": eta}
 
 
 def ref_functor_trial(rng, t):
@@ -176,8 +147,8 @@ def ref_functor_trial(rng, t):
     f = ref_random_map(rng, sx, sy)
     g = ref_random_map(rng, sy, sz)
     mu = ref_random_measure(rng, sx)
-    tables = [ref_random_table(rng, sy) for _ in range(3)]
-    return {"f": canon(f), "g": canon(g), "mu": canon(mu), "tables": list(map(canon, tables))}
+    tables = np.array([ref_random_table(rng, sy)._v for _ in range(3)])
+    return {"f": f, "g": g, "mu": mu, "tables": tables}
 
 
 def ref_convexity_trial(rng, t):
@@ -196,7 +167,7 @@ def ref_convexity_trial(rng, t):
         "alpha-bottom": lambda: (-np.inf, 0.0),
         "beta-bottom": lambda: (0.0, -np.inf),
     }[case]()
-    return {"f": canon(f), "nu": canon(nu), "seeds": seeds, "coefficients": (canon(alpha), canon(beta))}
+    return {"f": f, "nu": nu, "seeds": seeds, "case": case, "alpha": alpha, "beta": beta}
 
 
 N_GRID = 101
@@ -222,7 +193,7 @@ def ref_density_trial(rng, t):
     k = rand_int(rng, 1, 5)
     grid, atoms = np.array(GRID_COORDS), np.array(atom_coords)
     tests = [suites._lipschitz_table(rng, space, grid, atoms) for _ in range(k)]
-    return {"mu": canon(mu), "tests": list(map(canon, tests))}
+    return {"mu": mu, "tests": tests}
 
 
 SIZES = (10, 15, 20, 25)
@@ -238,7 +209,7 @@ def ref_openmap_trial(rng, t):
     max_offset = int(0.2 * (n - 1))
     slid = [min(max(i + rand_int(rng, -max_offset, max_offset), 0), n - 1) for i in nu0._idx.tolist()]
     nu_prime = IdempotentMeasure._trusted(LINES[n], *_merge(LINES[n], slid, nu0._w.tolist()))
-    return {"mu0": canon(mu0), "nu_prime": canon(nu_prime)}
+    return {"n": n, "axis": axis, "mu0": mu0, "nu0": nu0, "nu_prime": nu_prime}
 
 
 def ref_lemmas_trial(rng, t):
@@ -250,59 +221,63 @@ def ref_lemmas_trial(rng, t):
     y0 = choose(rng, list(sy.point_ids))
     pts = [x for x, y in f.assign.items() if y == y0]
     nu = IdempotentMeasure(sx, ref_random_weights(rng, subset(rng, pts, rand_int(rng, 1, len(pts)))))
-    return {"f": canon(f), "y0": y0, "nu": canon(nu), "phi": canon(phi)}
+    return {"f": f, "phi": phi, "y0": y0, "nu": nu}
 
 
-def record_tables(drawn, phi, f):
-    drawn.setdefault("tables", []).append(canon(phi))
-
-
-def record_seed(drawn, f, nu, seed):
-    drawn.update(f=canon(f), nu=canon(nu))
-    drawn.setdefault("seeds", []).append(canon(seed))
-
-
-def record_combination(drawn, alpha, mu1, beta, mu2):
-    drawn["coefficients"] = (canon(alpha), canon(beta))
-
-
-def record_fiber_bound(drawn, f, y0, nu, phi):
-    drawn.update(f=canon(f), y0=y0, nu=canon(nu), phi=canon(phi))
-
-
-def record_approximation(drawn, mu, dense, tests, eps):
-    if "mu" not in drawn:  # the coarseness demo after the last trial approximates once more
-        drawn.update(mu=canon(mu), tests=list(map(canon, tests)))
-
-
-def record_lift(drawn, f, mu0, nu_prime):
-    drawn.update(mu0=canon(mu0), nu_prime=canon(nu_prime))
-
-
-# suite -> (trials, spies, the scalar reference of one trial)
+# suite -> (trials, the scalar reference of one trial)
 LOOPS = {
-    "axioms": (12, {"_integrate_rows": first("mu")}, ref_axioms_trial),
-    "functor": (60, {"compose": lambda d, g, f: d.update(f=canon(f), g=canon(g)),
-                     "support_image_check": lambda d, f, mu: d.setdefault("mu", canon(mu)),
-                     "pullback": record_tables}, ref_functor_trial),
-    "convexity": (60, {"sample_preimage": record_seed, "combine": record_combination}, ref_convexity_trial),
-    "density": (12, {"approximate_on_dense": record_approximation}, ref_density_trial),
-    "openmap": (24, {"lift_toward": record_lift}, ref_openmap_trial),
-    "lemmas": (60, {"check_fiber_bounds": record_fiber_bound}, ref_lemmas_trial),
+    "axioms": (12, ref_axioms_trial),
+    "functor": (60, ref_functor_trial),
+    "convexity": (60, ref_convexity_trial),
+    "density": (12, ref_density_trial),
+    "openmap": (24, ref_openmap_trial),
+    "lemmas": (60, ref_lemmas_trial),
 }
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("suite", sorted(LOOPS))
 def test_suite_loop_draws_like_the_scalar_loop(monkeypatch, suite, seed):
-    trials, spies, ref_trial = LOOPS[suite]
-    kept = Trials(monkeypatch)
-    for name, record in spies.items():
-        kept.spy(name, record)
+    trials, ref_trial = LOOPS[suite]
+    kept = []  # (t, the trial's generator, what its draw step returned)
+    real = suites._run
+
+    def run(report, draw, check):
+        def kept_draw(rng, t):
+            inputs = draw(rng, t)
+            kept.append((t, rng, canon(inputs)))
+            return inputs
+        real(report, kept_draw, check)
+    monkeypatch.setattr(suites, "_run", run)
     report = suites.SUITES[suite](trials, seed)
     assert report.passed
-    assert len(kept.rngs) == trials
-    kept.check(seed, ref_trial)
+    assert [t for t, _, _ in kept] == list(range(trials))
+    for t, rng, drawn in kept:
+        ref_rng = trial_rng(seed, t)
+        assert drawn == canon(ref_trial(ref_rng, t)), f"trial {t}"
+        # read after the run, so no check drew from the trial's generator either
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, f"trial {t}"
+
+
+@pytest.mark.parametrize("suite", sorted(suites.SUITES))
+def test_every_suite_seeds_its_trials_through_one_driver_run(monkeypatch, suite):
+    """One ``_run`` per suite run, and one ``trial_rng`` per trial, plus one for the kappa witness."""
+    runs, seeded = [], []
+    real_run, real_rng = suites._run, suites.trial_rng
+
+    def run(report, draw, check):
+        runs.append(suite)
+        real_run(report, draw, check)
+
+    def seeded_rng(seed, t):
+        seeded.append(t)
+        return real_rng(seed, t)
+    monkeypatch.setattr(suites, "_run", run)
+    monkeypatch.setattr(suites, "trial_rng", seeded_rng)
+    trials = 3
+    suites.SUITES[suite](trials, 5)
+    assert runs == [suite]
+    assert seeded == list(range(trials)) + ([trials] if suite == "kappa" else [])
 
 
 # --- kappa draws on positions ----------------------------------------------------

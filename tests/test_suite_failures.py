@@ -338,6 +338,40 @@ def test_failure_report_is_pinned(monkeypatch, suite, tol, fault, checks, digest
     assert _sha256(text) == digest
 
 
+# One pinned setting per suite whose report fails trials, not only the whole run.
+REPLAYED = [case for case in CASES if f"{case[1]}-{case[0]}" in (
+    "axioms-negative-tol", "functor-drop-last-atom", "convexity-atoms-outside-union",
+    "density-too-coarse", "openmap-drop-last-atom", "lemmas-inf-is-sup", "kappa-negative-tol")]
+
+
+@pytest.mark.parametrize(
+    "suite, tol, fault",
+    [case[1:4] for case in REPLAYED],
+    ids=[f"{case[1]}-{case[0]}" for case in REPLAYED],
+)
+def test_a_failing_trial_replays_on_its_own(monkeypatch, suite, tol, fault):
+    """Each failing trial, drawn again from ``trial_rng(SEED, t)`` and checked
+    into a fresh report, gives the records the whole run holds for it."""
+    steps = []
+    real = suites._run
+
+    def run(report, draw, check):
+        steps.append((draw, check))
+        real(report, draw, check)
+    monkeypatch.setattr(suites, "_run", run)
+    report, _ = report_text(monkeypatch, suite, tol, fault)
+    [(draw, check)] = steps
+    failed = sorted({f["trial"] for f in report.failures} - {-1})
+    assert failed
+    counts = report.details.get("failures_by_check")
+    for t in failed:
+        fresh = suites.SuiteReport(suite, 1, seed=SEED)
+        if counts is not None:
+            fresh = suites.SuiteReport.counting(suite, 1, SEED, counts)
+        check(fresh, t, **draw(suites.trial_rng(SEED, t), t))
+        assert fresh.failures == [f for f in report.failures if f["trial"] == t], f"trial {t}"
+
+
 def test_only_bounded_suites_take_a_tolerance():
     for suite, run in suites.SUITES.items():
         takes_tol = "tol" in inspect.signature(run).parameters
